@@ -271,11 +271,9 @@ def eckmann_hilton_scan(max_size: int) -> list[InterchangeReport]:
     (a⋆b)∘(c⋆d) = (a∘c)⋆(b∘d) must coincide and be commutative and
     associative.  Distinct units are allowed; interchange forces them equal.
     """
-    if max_size > 4:
-        raise BudgetExceeded("the scan is capped at carrier size 4", size=max_size)
     if max_size >= 4:
         raise BudgetExceeded(
-            "size 4 needs ~10^12 table pairs; the scan stops at 3",
+            "sizes from 4 up need 10^12 table pairs or more; the scan stops at 3",
             size=max_size,
         )
     reports = []

@@ -333,8 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="search budget for enumerations")
     common.add_argument("--max-dim", type=int, default=3, dest="max_dim",
                         help="dimension bound for simplicial operations")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized property checks")
     parser = argparse.ArgumentParser(
         prog="homcat",
         description="finite category theory and simplicial homotopy engine",

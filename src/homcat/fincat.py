@@ -143,7 +143,6 @@ class FinCategory:
             for g in self.morphisms:
                 if g.dst != h.src:
                     continue
-                gh = self.compose(h.name, g.name)
                 for f in self.morphisms:
                     if f.dst != g.src:
                         continue
@@ -156,7 +155,6 @@ class FinCategory:
                             left=left,
                             right=right,
                         )
-                del gh
 
     def to_json_dict(self) -> dict:
         """Category file payload; identities and their composites are omitted.

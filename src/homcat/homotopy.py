@@ -338,10 +338,6 @@ class GroupHomSpec:
                     relator=self.source.word_to_names(word),
                 )
 
-    def image_word(self, letter: int) -> tuple[int, ...]:
-        img = self.images[self.source.generators[abs(letter) - 1]]
-        return img if letter > 0 else invert_word(img)
-
 
 def _abelianized_trivial(word: tuple[int, ...], pres: GroupPresentation) -> bool:
     gens = len(pres.generators)

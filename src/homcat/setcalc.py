@@ -19,7 +19,7 @@ from .errors import (
     NotUniversal,
     SchemaError,
 )
-from .fincat import FinCategory, FinFunctor, Mor, pair_obj
+from .fincat import FinCategory, FinFunctor, Mor
 
 
 @dataclass(frozen=True)
@@ -71,18 +71,6 @@ def identity_function(s: FinSetRep) -> FinFunction:
 
 def tuple_token(parts) -> str:
     return "(" + ",".join(parts) + ")"
-
-
-def flatten_tuple_token(token: str) -> str:
-    """Splice nested tuple tokens into one flat tuple, on explicit request;
-    products never flatten on their own."""
-    parts = []
-    for piece in split_tuple_token(token):
-        if piece.startswith("(") and piece.endswith(")"):
-            parts.extend(split_tuple_token(flatten_tuple_token(piece)))
-        else:
-            parts.append(piece)
-    return tuple_token(parts)
 
 
 def split_tuple_token(token: str) -> list[str]:
@@ -426,21 +414,6 @@ class Bifunctor:
                     raise InvalidStructure(
                         f"mixed functoriality fails at ({f2!r}∘{f1!r}, {g2!r}∘{g1!r})"
                     )
-
-
-def bifunctor_from_diagram(c: FinCategory, diag: Diagram) -> Bifunctor:
-    """Repackage a diagram over opposite(c) × c as a bifunctor over c."""
-    from .fincat import pair_mor
-
-    values = {
-        (x, y): diag.values[pair_obj(x, y)] for x in c.objects for y in c.objects
-    }
-    actions = {
-        (f.name, g.name): diag.arrows[pair_mor(f.name, g.name)]
-        for f in c.morphisms
-        for g in c.morphisms
-    }
-    return Bifunctor(c, values, actions)
 
 
 def nat_trans_bifunctor(f: FinFunctor, g: FinFunctor) -> Bifunctor:

@@ -190,6 +190,10 @@ class SimplicialSet:
             name: n for n in self.cells for name in self.cells[n]
         }
         self._face_cache: dict[tuple[CellRef, int], CellRef] = {}
+        self._face_index: dict[
+            tuple[int, tuple[int, ...]],
+            dict[tuple[CellRef, ...], tuple[CellRef, ...]],
+        ] = {}
 
     # -- structure ---------------------------------------------------------
 
@@ -246,6 +250,27 @@ class SimplicialSet:
                 for letters in itertools.combinations(range(n - 1, -1, -1), n - m):
                     out.append(CellRef(name, letters))
         return out
+
+    def cells_with_faces(
+        self, n: int, wanted: dict[int, CellRef]
+    ) -> tuple[CellRef, ...]:
+        """The n-cells z, degenerate ones included and in ``all_cells(n)``
+        order, with d_i z = wanted[i] for every position i in ``wanted``.
+
+        One exact lookup in an index keyed by (n, the sorted positions),
+        which maps the faces at those positions to the matching cells; it
+        is built from ``all_cells(n)`` on first use and kept.
+        """
+        positions = tuple(sorted(wanted))
+        index = self._face_index.get((n, positions))
+        if index is None:
+            buckets: dict[tuple[CellRef, ...], list[CellRef]] = {}
+            for z in self.all_cells(n):
+                key = tuple(self.face(z, i) for i in positions)
+                buckets.setdefault(key, []).append(z)
+            index = {key: tuple(zs) for key, zs in buckets.items()}
+            self._face_index[(n, positions)] = index
+        return index.get(tuple(wanted[i] for i in positions), ())
 
     def n_cells_total(self, n: int) -> int:
         return sum(comb(n, m) * len(self.cells[m]) for m in range(n + 1))
@@ -445,18 +470,6 @@ class SimplicialMap:
         )
 
 
-def identity_map(x: SimplicialSet) -> SimplicialMap:
-    return SimplicialMap(
-        x,
-        x,
-        {
-            (n, name): CellRef(name, ())
-            for n in range(x.max_dim + 1)
-            for name in x.cells[n]
-        },
-    )
-
-
 def enumerate_maps(
     x: SimplicialSet, y: SimplicialSet, budget: int = DEFAULT_HORN_BUDGET
 ) -> list[SimplicialMap]:
@@ -466,7 +479,9 @@ def enumerate_maps(
     A map is determined by nondegenerate-cell images; the constraint for a
     cell only mentions lower-dimensional choices, so cells are assigned in
     an order that puts each cell right after its faces, which keeps the
-    search tree narrow.
+    search tree narrow.  A cell's candidates are the target cells whose
+    faces are the images already chosen (one ``cells_with_faces``
+    lookup); the budget is charged once per candidate.
     """
     order: list[tuple[int, str]] = []
     placed = set()
@@ -484,7 +499,6 @@ def enumerate_maps(
         for name in x.cells[n]:
             place(n, name)
 
-    target_cells = {n: y.all_cells(n) for n in range(x.max_dim + 1)}
     meter = Budget(budget)
     found: list[SimplicialMap] = []
     assignment: dict[tuple[int, str], CellRef] = {}
@@ -494,24 +508,17 @@ def enumerate_maps(
             found.append(SimplicialMap(x, y, dict(assignment)))
             return
         n, name = order[pos]
-        for candidate in target_cells[n]:
+        wanted = {}
+        for i, ref in enumerate(x.faces.get((n, name), ())):
+            image = assignment[(x.base_dim(ref), ref.base)]
+            wanted[i] = CellRef(
+                image.base, normalize_word(list(ref.word) + list(image.word))
+            )
+        for candidate in y.cells_with_faces(n, wanted):
             meter.charge(1, "simplicial map enumeration")
-            ok = True
-            if n > 0:
-                for i in range(n + 1):
-                    ref = x.faces[(n, name)][i]
-                    image = assignment[(x.base_dim(ref), ref.base)]
-                    expected = CellRef(
-                        image.base,
-                        normalize_word(list(ref.word) + list(image.word)),
-                    )
-                    if y.face(candidate, i) != expected:
-                        ok = False
-                        break
-            if ok:
-                assignment[(n, name)] = candidate
-                extend(pos + 1)
-                del assignment[(n, name)]
+            assignment[(n, name)] = candidate
+            extend(pos + 1)
+            del assignment[(n, name)]
 
     extend(0)
     found.sort(key=lambda m: m.signature())
@@ -719,17 +726,18 @@ def horn_fillers(
         raise InvalidAssignment(
             f"assignment is not a simplicial map: {exc.message}"
         ) from exc
-    wanted = {}
-    for i in range(n + 1):
-        if i == k:
-            continue
-        face_name = _vertex_name(tuple(v for v in range(n + 1) if v != i))
-        wanted[i] = assignment.cell_map[(n - 1, face_name)]
-    out = []
-    for z in x.all_cells(n):
-        if all(x.face(z, i) == wanted[i] for i in wanted):
-            out.append(z)
-    return out
+    return list(x.cells_with_faces(n, _horn_faces(assignment, n, k)))
+
+
+def _horn_faces(assignment: SimplicialMap, n: int, k: int) -> dict[int, CellRef]:
+    """The faces a filler of the assignment Λⁿₖ → x must have, by position."""
+    return {
+        i: assignment.cell_map[
+            (n - 1, _vertex_name(tuple(v for v in range(n + 1) if v != i)))
+        ]
+        for i in range(n + 1)
+        if i != k
+    }
 
 
 @dataclass
@@ -759,40 +767,23 @@ def classify(
 ) -> Classification:
     """Check every horn assignment up to ``max_dim`` for fillers.
 
-    Filler lookups are answered from an index keyed by the constrained
-    face tuple, built once per (n, k) from the full n-cell set.  The scan
-    is clamped to the complex's own truncation bound: fillability above it
-    is not represented by the data.
+    Each assignment Λⁿₖ → x is filled when some n-cell of x has the
+    assigned faces at every position but k, which is one
+    :meth:`SimplicialSet.cells_with_faces` lookup.  The scan is clamped
+    to the complex's own truncation bound: fillability above it is not
+    represented by the data.
     """
     if max_dim is None:
         max_dim = x.max_dim
     max_dim = min(max_dim, x.max_dim)
     reports = []
     for n in range(1, max_dim + 1):
-        n_cells = x.all_cells(n)
-        face_rows = [
-            tuple(x.face(z, i) for i in range(n + 1)) for z in n_cells
-        ]
         for k in range(n + 1):
-            hc = horn(n, k, max_dim=n)
-            maps = enumerate_maps(hc, x, budget=budget)
-            filled: set[tuple] = {
-                tuple(row[i] for i in range(n + 1) if i != k)
-                for row in face_rows
-            }
-            face_names = [
-                _vertex_name(tuple(v for v in range(n + 1) if v != i))
-                for i in range(n + 1)
-            ]
+            maps = enumerate_maps(horn(n, k, max_dim=n), x, budget=budget)
             unfilled = 0
             witness = None
             for m in maps:
-                key = tuple(
-                    m.cell_map[(n - 1, face_names[i])]
-                    for i in range(n + 1)
-                    if i != k
-                )
-                if key not in filled:
+                if not x.cells_with_faces(n, _horn_faces(m, n, k)):
                     unfilled += 1
                     if witness is None:
                         witness = (n, k, m.signature())

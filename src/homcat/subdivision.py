@@ -283,7 +283,10 @@ def _glue_tag(a: int, xref: CellRef, cref: CellRef) -> str:
 
 
 def _split_tag(tag: str) -> tuple[int, CellRef, CellRef]:
-    a_str, xs, cs = tag.split("$")
+    # the degree never contains '$' and neither do sd(Δᵃ) cell names, so
+    # the X cell is whatever lies between the first and the last '$'
+    a_str, rest = tag.split("$", 1)
+    xs, cs = rest.rsplit("$", 1)
     return int(a_str), parse_cell_ref(xs), parse_cell_ref(cs)
 
 
@@ -312,7 +315,6 @@ def sd(x: SimplicialSet) -> SdResult:
     Levelwise coend over the ordinal category: pairs (a-cell of X, m-cell
     of sd(Δᵃ)) are glued along faces and degeneracies in the X slot against
     sd of the corresponding coface or codegeneracy in the other slot.
-    X cell names must not contain the reserved '$' separator.
     """
     n_top = x.max_dim
     x_cells = {a: x.all_cells(a) for a in range(n_top + 1)}

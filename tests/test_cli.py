@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
+import pytest
+
 from homcat.cli import main
+from homcat.simplicial import horn, nerve
 
 import corpus
 from test_simplicial import s1_model
@@ -153,6 +157,32 @@ def test_classify_horn_prints_witness(tmp_path, capsys):
     assert payload["verdict"] == "neither"
     bad = [row for row in payload["horns"] if row["unfilled"]]
     assert bad and bad[0]["witness"] is not None
+
+
+# sha256 of stdout on complexes with unfilled horns: how the fillers are
+# searched for must not change a byte of either report
+PINNED_HORN_REPORTS = [
+    ("horn21", ["horns", "-n", "2", "-k", "1"],
+     "242f5f1f4c314d94d15adb5c7b856b9a9bb66afa5a9e73aaab63827055be5dad"),
+    ("horn21", ["classify", "--max-dim", "2"],
+     "b0f022520852e1017d4b090bd5b8d0fd614195fc740384971d2633a59a5568eb"),
+    ("arrow", ["horns", "-n", "2", "-k", "1"],
+     "1df0f61fdaee82675f75ec151f845abfc2bdf2b5a4d67944fa2611bb15b0260f"),
+    ("arrow", ["classify", "--max-dim", "2"],
+     "1e86ecdc76400401684c49ce7c9738003d06d2121fa2ab308cd9be71952fc851"),
+]
+
+
+@pytest.mark.parametrize("complex_name,argv,digest", PINNED_HORN_REPORTS)
+def test_horn_reports_are_byte_identical(tmp_path, capsys, complex_name, argv, digest):
+    x = {
+        "horn21": lambda: horn(2, 1),
+        "arrow": lambda: nerve(corpus.walking_arrow(), 2),
+    }[complex_name]()
+    path = write(tmp_path, "x.json", x.to_json_dict())
+    code, out = run(capsys, argv[0], path, *argv[1:])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_horns_verb(tmp_path, capsys):

@@ -501,6 +501,74 @@ def test_outer_horn_without_left_inverse_has_no_filler():
     assert [z.serialize() for z in horn_fillers(n, 2, 0, degenerate_ok)] == ["s1 f"]
 
 
+def test_cells_with_faces_matches_brute_force_filter():
+    complexes = [
+        standard_simplex(0, 2),
+        standard_simplex(2, 3),
+        boundary(2),
+        horn(2, 1),
+        horn(3, 0, max_dim=3),
+        s1_model(),
+        wedge_of_circles(),
+        nerve(corpus.walking_arrow(), 3),
+        nerve(corpus.cyclic_group_category(2), 3),
+        nerve(corpus.idempotent_monoid_category(), 2),
+        product_sset(standard_simplex(1, 2), standard_simplex(1, 2))[0],
+    ]
+    misses = 0
+    for x in complexes:
+        for n in range(x.max_dim + 2):
+            cells = x.all_cells(n)
+            for size in range(n + 2 if n else 1):
+                for positions in itertools.combinations(range(n + 1), size):
+                    # every realized face tuple, plus ones spliced from two
+                    # neighbouring cells, which may match no cell at all
+                    queries = [{}] if not positions else [
+                        {i: x.face(z, i) for i in positions} for z in cells
+                    ] + [
+                        {
+                            i: x.face(z if k % 2 else w, i)
+                            for k, i in enumerate(positions)
+                        }
+                        for z, w in zip(cells, cells[1:])
+                    ]
+                    for wanted in queries:
+                        expected = [
+                            z
+                            for z in cells
+                            if all(x.face(z, i) == wanted[i] for i in wanted)
+                        ]
+                        assert list(x.cells_with_faces(n, wanted)) == expected
+                        misses += bool(cells) and not expected
+    assert misses > 0
+
+
+def test_cells_with_faces_answers_cannot_be_mutated():
+    x = nerve(corpus.walking_arrow(), 2)
+    wanted = {0: CellRef("B"), 1: CellRef("A")}
+    first = x.cells_with_faces(1, wanted)
+    assert [z.serialize() for z in first] == ["f"]
+    try:
+        first.clear()
+    except AttributeError:
+        pass
+    assert [z.serialize() for z in x.cells_with_faces(1, wanted)] == ["f"]
+    assignment = SimplicialMap(
+        horn(2, 1, max_dim=2),
+        x,
+        {
+            (0, "0"): CellRef("A"),
+            (0, "1"): CellRef("B"),
+            (0, "2"): CellRef("B"),
+            (1, "0-1"): CellRef("f"),
+            (1, "1-2"): CellRef("B", (0,)),
+        },
+    )
+    fillers = horn_fillers(x, 2, 1, assignment)
+    fillers.clear()
+    assert [z.serialize() for z in horn_fillers(x, 2, 1, assignment)] == ["s1 f"]
+
+
 def test_classify_nerve_of_group_is_kan():
     bg = nerve(corpus.cyclic_group_category(2), 3)
     assert classify(bg, 3).verdict == "kan"

@@ -89,6 +89,21 @@ def test_sd_preserves_gluing_counts():
     assert result.complex.counts() == (11, 22, 12)
 
 
+def test_sd_accepts_dollar_in_cell_names():
+    # '$' also joins the gluing tags; a vertex named with it must subdivide
+    # like any other name
+    def edge_to(head: str) -> SimplicialSet:
+        x = SimplicialSet(
+            1, {0: ["r", head], 1: ["e"]}, {(1, "e"): (CellRef(head), CellRef("r"))}
+        )
+        x.validate()
+        return x
+
+    plain, dollar = edge_to("pq"), edge_to("p$q")
+    assert sd(dollar).complex.counts() == sd(plain).complex.counts() == (3, 2)
+    last_vertex(dollar).validate()
+
+
 def test_last_vertex_on_sd_delta1():
     lv = last_vertex_simplex(1)
     # the edge {0} ⊂ {0,1} lands on the 1-cell, the edge {1} ⊂ {0,1} on the
