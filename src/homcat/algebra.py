@@ -20,6 +20,7 @@ from .errors import (
     SchemaError,
     UnitAxiomFailed,
 )
+from .fincat import partition
 from .setcalc import FinFunction, FinSetRep, pushout
 
 
@@ -197,35 +198,20 @@ def orbit(action: FinAction) -> list[list[str]]:
     for y in space:
         pushout_blocks.setdefault(cone.legs["L"](y), []).append(y)
 
-    closure_parent = {y: y for y in space}
-
-    def find(y):
-        while closure_parent[y] != y:
-            closure_parent[y] = closure_parent[closure_parent[y]]
-            y = closure_parent[y]
-        return y
-
-    for x in action.actor.carrier.elements:
-        for y in space:
-            ra, rb = find(y), find(action(x, y))
-            if ra != rb:
-                closure_parent[ra] = rb
-    closure_blocks: dict[str, list] = {}
-    for y in space:
-        closure_blocks.setdefault(find(y), []).append(y)
+    closure_blocks = partition(
+        space,
+        ((y, action(x, y)) for x in action.actor.carrier.elements for y in space),
+    )
 
     via_pushout = {frozenset(b) for b in pushout_blocks.values()}
-    via_closure = {frozenset(b) for b in closure_blocks.values()}
+    via_closure = {frozenset(b) for b in closure_blocks}
     if via_pushout != via_closure:
         raise AssocAxiomFailed(
             "pushout orbit disagrees with reachability closure",
             pushout=sorted(map(sorted, via_pushout)),
             closure=sorted(map(sorted, via_closure)),
         )
-    order = {y: k for k, y in enumerate(space)}
-    blocks = sorted((sorted(b, key=order.get) for b in via_closure),
-                    key=lambda b: order[b[0]])
-    return [list(b) for b in blocks]
+    return closure_blocks
 
 
 def _pairs(action: FinAction):

@@ -289,9 +289,10 @@ def product_category(c: FinCategory, d: FinCategory) -> FinCategory:
     return FinCategory(objects, mors, table, identity)
 
 
-def iso_classes(cat: FinCategory) -> list[list[str]]:
-    """Partition of the objects into isomorphism classes (input order)."""
-    parent = {x: x for x in cat.objects}
+def quotient(elements, pairs) -> dict:
+    """Smallest equivalence on ``elements`` containing ``pairs``, sending
+    each element to the least member of its class (union-find)."""
+    parent = {x: x for x in elements}
 
     def find(x):
         while parent[x] != x:
@@ -299,13 +300,29 @@ def iso_classes(cat: FinCategory) -> list[list[str]]:
             x = parent[x]
         return x
 
-    for m in cat.morphisms:
-        if cat.is_iso(m.name):
-            parent[find(m.src)] = find(m.dst)
-    blocks: dict[str, list[str]] = {}
-    for x in cat.objects:
-        blocks.setdefault(find(x), []).append(x)
-    return [blocks[r] for r in sorted(blocks, key=cat.objects.index)]
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return {x: find(x) for x in elements}
+
+
+def partition(elements, pairs) -> list[list]:
+    """Classes of :func:`quotient`, each in element order, listed in the
+    order of their first members."""
+    least = quotient(elements, pairs)
+    blocks: dict = {}
+    for x in elements:
+        blocks.setdefault(least[x], []).append(x)
+    return list(blocks.values())
+
+
+def iso_classes(cat: FinCategory) -> list[list[str]]:
+    """Partition of the objects into isomorphism classes (input order)."""
+    return partition(
+        cat.objects,
+        ((m.src, m.dst) for m in cat.morphisms if cat.is_iso(m.name)),
+    )
 
 
 @dataclass

@@ -16,6 +16,7 @@ from .errors import (
     DimensionTooLow,
     SchemaError,
 )
+from .fincat import partition
 from .simplicial import CellRef, SimplicialSet
 
 
@@ -107,25 +108,11 @@ def invert_word(word: tuple[int, ...]) -> tuple[int, ...]:
 def pi0(x: SimplicialSet) -> list[list[str]]:
     """Partition of the 0-cells by the symmetric-transitive closure of
     1-cell adjacency; blocks keep vertex order."""
-    parent = {v: v for v in x.cells[0]}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    if x.max_dim >= 1:
-        for name in x.cells[1]:
-            a = x.faces[(1, name)][0].base
-            b = x.faces[(1, name)][1].base
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    blocks: dict[str, list[str]] = {}
-    for v in x.cells[0]:
-        blocks.setdefault(find(v), []).append(v)
-    return [blocks[r] for r in sorted(blocks, key=lambda r: x.cells[0].index(blocks[r][0]))]
+    edges = x.cells[1] if x.max_dim >= 1 else []
+    return partition(
+        x.cells[0],
+        ((x.faces[(1, e)][0].base, x.faces[(1, e)][1].base) for e in edges),
+    )
 
 
 # -- pi1 -----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import CapExceeded, SchemaError
-from .fincat import FinCategory, FinFunctor, Mor
+from .fincat import FinCategory, FinFunctor, Mor, partition
 
 
 # -- marked categories -------------------------------------------------------
@@ -152,24 +152,14 @@ def localize(marked: MarkedCategory, cap: int = 20000) -> Localization:
                             universe.add(extended)
                             new.append(extended)
             frontier = new
-        parent = {w: w for w in universe}
-
-        def find(w):
-            while parent[w] != w:
-                parent[w] = parent[parent[w]]
-                w = parent[w]
-            return w
-
-        for word in universe:
-            for other in _rewrites(cat, weq, word):
-                ra, rb = find(word), find(other)
-                if ra != rb:
-                    parent[ra] = rb
-        blocks: dict[tuple, list[tuple]] = {}
-        for w in universe:
-            blocks.setdefault(find(w), []).append(w)
+        blocks = partition(
+            universe,
+            ((word, other)
+             for word in universe
+             for other in _rewrites(cat, weq, word)),
+        )
         rep_of = {}
-        for members in blocks.values():
+        for members in blocks:
             # shortest first; prefer plain letters over formal inverses so
             # classes of ordinary morphisms keep their ordinary names
             rep = min(

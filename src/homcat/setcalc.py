@@ -19,7 +19,8 @@ from .errors import (
     NotUniversal,
     SchemaError,
 )
-from .fincat import FinCategory, FinFunctor, Mor
+from .fincat import FinCategory, FinFunctor, Mor, opposite
+from .fincat import quotient as _quotient  # perfbench/tracing.py wraps this name
 
 
 @dataclass(frozen=True)
@@ -179,28 +180,6 @@ def coequalizer(f: FinFunction, g: FinFunction) -> ConeResult:
     return ConeResult(apex, {0: proj})
 
 
-def _quotient(elements: list[str], pairs) -> dict[str, str]:
-    """Smallest equivalence containing ``pairs``; representative of each
-    class is its lexicographically least member."""
-    parent = {x: x for x in elements}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    blocks: dict[str, list[str]] = {}
-    for x in elements:
-        blocks.setdefault(find(x), []).append(x)
-    rep = {root: min(members) for root, members in blocks.items()}
-    return {x: rep[find(x)] for x in elements}
-
-
 def limit(d: Diagram) -> ConeResult:
     """Universal cone, as the equalizer of the two parallel maps
     ∏_Y F(Y) ⇉ ∏_f F(cod f)."""
@@ -282,16 +261,7 @@ def cospan_shape() -> FinCategory:
 
 
 def span_shape() -> FinCategory:
-    l = Mor("l", "M", "L")
-    r = Mor("r", "M", "R")
-    ids = [Mor("id_L", "L", "L"), Mor("id_R", "R", "R"), Mor("id_M", "M", "M")]
-    table = {}
-    for m in [l, r] + ids:
-        table[(m.name, f"id_{m.src}")] = m.name
-        table[(f"id_{m.dst}", m.name)] = m.name
-    return FinCategory(
-        ["L", "R", "M"], [l, r] + ids, table, {"L": "id_L", "R": "id_R", "M": "id_M"}
-    )
+    return opposite(cospan_shape())
 
 
 def pullback(f: FinFunction, g: FinFunction) -> ConeResult:

@@ -16,6 +16,7 @@ from functools import lru_cache
 
 from .errors import BudgetExceeded, DEFAULT_HORN_BUDGET, SchemaError
 from .fincat import FinCategory, FinFunctor, validate_category
+from .fincat import quotient as _union_find  # perfbench/tracing.py wraps this name
 from .simplicial import (
     CellRef,
     DeltaMap,
@@ -215,17 +216,19 @@ class LevelwiseSSet:
         to its normal form over the new names, and ``origin`` sending each
         new nondegenerate name back to its level cell.
         """
-        degenerate: dict[int, set[str]] = {n: set() for n in self.levels}
+        # one degeneracy preimage per degenerate cell; by Eilenberg–Zilber
+        # any preimage gives the same normal form
+        lift: dict[tuple[int, str], tuple[int, str]] = {}
         for (n, i), table in self.deg_op.items():
-            for image in table.values():
-                degenerate[n + 1].add(image)
+            for y, image in table.items():
+                lift.setdefault((n + 1, image), (i, y))
         names: dict[tuple[int, str], str] = {}
         cells: dict[int, list[str]] = {}
         origin: dict[tuple[int, str], str] = {}
         for n in range(self.max_dim + 1):
             cells[n] = []
             for z in self.levels[n]:
-                if z not in degenerate[n]:
+                if (n, z) not in lift:
                     fresh = f"{prefix}{n}_{len(cells[n])}"
                     cells[n].append(fresh)
                     names[(n, z)] = fresh
@@ -239,23 +242,9 @@ class LevelwiseSSet:
             if (n, z) in names:
                 out = CellRef(names[(n, z)], ())
             else:
-                for i in range(n):
-                    pre = next(
-                        (
-                            y
-                            for y in self.levels[n - 1]
-                            if self.deg_op[(n - 1, i)][y] == z
-                        ),
-                        None,
-                    )
-                    if pre is not None:
-                        inner = resolve(n - 1, pre)
-                        out = CellRef(
-                            inner.base, normalize_word([i] + list(inner.word))
-                        )
-                        break
-                else:
-                    raise SchemaError(f"cell {z!r} is neither fresh nor degenerate")
+                i, pre = lift[(n, z)]
+                inner = resolve(n - 1, pre)
+                out = CellRef(inner.base, normalize_word([i] + list(inner.word)))
             ref_of[(n, z)] = out
             return out
 
@@ -385,26 +374,6 @@ def sd(x: SimplicialSet) -> SdResult:
     model.verify()
     complex_, ref_of, origin = model.to_presentation("b")
     return SdResult(complex_, class_of, ref_of, origin, x)
-
-
-def _union_find(elements: list[str], pairs) -> dict[str, str]:
-    parent = {e: e for e in elements}
-
-    def find(e: str) -> str:
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        return e
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    blocks: dict[str, list[str]] = {}
-    for e in elements:
-        blocks.setdefault(find(e), []).append(e)
-    rep = {root: min(members) for root, members in blocks.items()}
-    return {e: rep[find(e)] for e in elements}
 
 
 def sd_map(f: SimplicialMap, sdx: SdResult, sdy: SdResult) -> SimplicialMap:

@@ -185,6 +185,163 @@ def test_horn_reports_are_byte_identical(tmp_path, capsys, complex_name, argv, d
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def hom_bifunctor(cat) -> dict:
+    """Mor(x; y) of ``cat`` as a bifunctor file: (f, g) sends h to g∘h∘f."""
+    return {
+        "v": 1,
+        "shape": cat.to_json_dict(),
+        "sets": {x: {y: cat.hom(x, y) for y in cat.objects} for x in cat.objects},
+        "functions": {
+            f.name: {
+                g.name: {
+                    h: cat.compose(g.name, cat.compose(h, f.name))
+                    for h in cat.hom(f.dst, g.src)
+                }
+                for g in cat.morphisms
+            }
+            for f in cat.morphisms
+        },
+    }
+
+
+Z3 = {
+    "v": 1,
+    "elements": ["e", "g", "h"],
+    "op": [["e", "g", "h"], ["g", "h", "e"], ["h", "e", "g"]],
+    "unit": "e",
+}
+
+QUOTIENT_FIXTURES = {
+    "s1": lambda: s1_model().to_json_dict(),
+    "arrow-nerve": lambda: nerve(corpus.walking_arrow(), 2).to_json_dict(),
+    "pair-diagram": lambda: {
+        "v": 1,
+        "shape": corpus.parallel_pair().to_json_dict(),
+        "sets": {"S": ["a", "b", "c"], "T": ["0", "1", "2", "3"]},
+        "functions": {
+            "a": {"a": "0", "b": "1", "c": "2"},
+            "b": {"a": "1", "b": "2", "c": "0"},
+        },
+    },
+    "chain-diagram": lambda: {
+        "v": 1,
+        "shape": corpus.poset_chain(2).to_json_dict(),
+        "sets": {"0": ["a", "b", "c"], "1": ["x", "y"], "2": ["p", "q"]},
+        "functions": {
+            "le01": {"a": "x", "b": "x", "c": "y"},
+            "le12": {"x": "q", "y": "q"},
+            "le02": {"a": "q", "b": "q", "c": "q"},
+        },
+    },
+    "iso-hom": lambda: hom_bifunctor(corpus.walking_iso()),
+    "monoid-hom": lambda: hom_bifunctor(corpus.idempotent_monoid_category()),
+    "point-diagram": lambda: {
+        "v": 1,
+        "shape": corpus.terminal_category().to_json_dict(),
+        "sets": {"*": ["u", "v"]},
+        "functions": {},
+    },
+    "point-to-arrow": lambda: {
+        "v": 1,
+        "source": corpus.terminal_category().to_json_dict(),
+        "target": corpus.walking_arrow().to_json_dict(),
+        "objects": {"*": "A"},
+        "morphisms": {},
+    },
+    "arrow-diagram": lambda: {
+        "v": 1,
+        "shape": corpus.walking_arrow().to_json_dict(),
+        "sets": {"A": ["a1", "a2"], "B": ["b1", "b2"]},
+        "functions": {"f": {"a1": "b1", "a2": "b1"}},
+    },
+    "arrow-to-point": lambda: {
+        "v": 1,
+        "source": corpus.walking_arrow().to_json_dict(),
+        "target": corpus.terminal_category().to_json_dict(),
+        "objects": {"A": "*", "B": "*"},
+        "morphisms": {"f": "id_*"},
+    },
+    "components": lambda: {
+        "v": 1,
+        "dim": 1,
+        "cells": {"0": ["d", "a", "c", "b", "e"], "1": ["p", "q", "r"]},
+        "faces": {"p": ["b", "d"], "q": ["a", "c"], "r": ["e", "e"]},
+    },
+    "swap-action": lambda: {
+        "v": 1,
+        "monoid": {
+            "v": 1,
+            "elements": ["e", "g"],
+            "op": [["e", "g"], ["g", "e"]],
+            "unit": "e",
+        },
+        "space": ["1", "2", "3"],
+        "act": [["1", "2", "3"], ["2", "1", "3"]],
+    },
+    "z3-action": lambda: {
+        "v": 1,
+        "monoid": Z3,
+        "space": ["5", "1", "3", "2", "4", "6"],
+        "act": [
+            ["5", "1", "3", "2", "4", "6"],
+            ["1", "3", "5", "4", "6", "2"],
+            ["3", "5", "1", "6", "2", "4"],
+        ],
+    },
+    "arrow-cat": lambda: corpus.walking_arrow().to_json_dict(),
+    "chain-cat": lambda: corpus.poset_chain(2).to_json_dict(),
+}
+
+# sha256 of stdout of every verb that computes a union-find quotient; how
+# the classes are found must not change a byte of any report
+PINNED_QUOTIENT_REPORTS = [
+    (["sd", "s1"],
+     "49eba73fd14bc91bf3f1a5595aa4bbccbd56c96ec45b1f0934bd83af1ddc839d"),
+    (["sd", "arrow-nerve"],
+     "faddcd879103fcb65129e8d95da994e733f3afeaea3ec3664b0953fd41ff85a8"),
+    (["ex", "s1"],
+     "f674531d7ef52d414ccd0d639f9fc43782e2fa2d37a340d748f34c2935ba5509"),
+    (["colimit", "pair-diagram"],
+     "9b844c64707c8305a8c1703025cf3b773b417c037bf2be8d2cd375b6e098a056"),
+    (["colimit", "chain-diagram"],
+     "aa66d21357f8834721da8e9206f0675253f8d652a2bf5b59be2551cc040873d5"),
+    (["coend", "iso-hom"],
+     "a06b067601b7cfce6e1e03430dccd279f0b31b7d4a2f4f3e46056e2c47c36822"),
+    (["coend", "monoid-hom"],
+     "0ca5e379d6a0a1c3328c7f29960a2d467ca0cadc9878fcff13d4ba422d9bb531"),
+    (["kan-left", "point-diagram", "point-to-arrow"],
+     "2a16f276ca813cd8ae25c02b89ae139cfb71333b01ff9f3e0be0258c1d2b83e4"),
+    (["kan-left", "arrow-diagram", "arrow-to-point"],
+     "8ef02c883ce8dafa2176e8e2c9cbc695748dae07325bbb1f9e8bfd925d67acfb"),
+    (["pi0", "components"],
+     "6474de9a9743e1062cc16af7af824ae92ce23703c3b34d83a1f2028c4b3d553d"),
+    (["orbit", "swap-action"],
+     "c80f6d3f02433ebf3709cd47896f55eff39714de177ce51b1c6d191c7d63a869"),
+    (["orbit", "z3-action"],
+     "a4b0f903fc852f334a833963ae70c14ba777bf74f906a0bbe0c95ffad904b140"),
+    (["localize", "arrow-cat", "--weq", "f"],
+     "6af4ad7fff952e409c47fd597b1fca7b1af2bcc06b6f3eba790a50aaf4f7e87d"),
+    (["localize", "chain-cat", "--weq", "le01,le12"],
+     "89f86b977c06a6abee92626222ca7694db03e6efb748f3fddfb72c6db94bd114"),
+]
+
+
+def quotient_report(tmp_path, capsys, argv) -> tuple[int, str]:
+    args = [
+        write(tmp_path, f"{a}.json", QUOTIENT_FIXTURES[a]())
+        if a in QUOTIENT_FIXTURES else a
+        for a in argv
+    ]
+    return run(capsys, *args)
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_QUOTIENT_REPORTS)
+def test_quotient_reports_are_byte_identical(tmp_path, capsys, argv, digest):
+    code, out = quotient_report(tmp_path, capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_horns_verb(tmp_path, capsys):
     path = write(tmp_path, "s1.json", s1_model().to_json_dict())
     code, out = run(capsys, "horns", path, "-n", "2", "-k", "1")

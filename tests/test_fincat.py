@@ -21,7 +21,9 @@ from homcat.fincat import (
     identity_functor,
     iso_classes,
     opposite,
+    partition,
     product_category,
+    quotient,
     validate_category,
     yoneda_check,
 )
@@ -214,6 +216,70 @@ def test_iso_classes():
     assert iso_classes(corpus.poset_chain(1)) == [["0"], ["1"]]
     for cat in [corpus.walking_iso(), corpus.poset_chain(2)]:
         assert iso_classes(cat) == iso_classes(opposite(cat))
+
+
+def test_iso_classes_come_in_order_of_first_member():
+    # A ≅ C with B between them: the class of A comes first whichever
+    # way the isomorphism points
+    cat = validate_category(
+        {
+            "objects": ["A", "B", "C"],
+            "morphisms": [
+                {"name": "f", "src": "A", "dst": "C"},
+                {"name": "g", "src": "C", "dst": "A"},
+            ],
+            "compose": [["g", "f", "id_A"], ["f", "g", "id_C"]],
+        }
+    )
+    assert iso_classes(cat) == iso_classes(opposite(cat)) == [["A", "C"], ["B"]]
+
+
+def reachable_least(elements, pairs) -> dict:
+    """Least member of each element's class, by breadth-first search over
+    the pairs read as undirected edges."""
+    edges = {x: set() for x in elements}
+    for a, b in pairs:
+        edges[a].add(b)
+        edges[b].add(a)
+    least = {}
+    for x in elements:
+        seen, frontier = {x}, [x]
+        while frontier:
+            frontier = [z for y in frontier for z in edges[y] if z not in seen]
+            seen.update(frontier)
+        least[x] = min(seen)
+    return least
+
+
+def quotient_cases():
+    strings = ["b", "a", "c", "a:b", "a|b"]
+    words = [(("m", "f"),), (("i", "f"),), (("m", "f"), ("i", "f")), ()]
+    yield strings, []
+    yield strings, [("a", "a"), ("c", "c")]
+    yield strings, [("c", "b"), ("b", "c"), ("a|b", "a:b")]
+    yield words, [(words[2], words[3]), (words[1], words[0])]
+    yield [], []
+    words += [(("m", "g"),), (("i", "g"), ("m", "f"))]
+    rng = random.Random(7)
+    for trial in range(60):
+        pool = strings if trial % 2 else words
+        elements = rng.sample(pool, rng.randint(1, len(pool)))
+        pairs = [
+            (rng.choice(elements), rng.choice(elements))
+            for _ in range(rng.randint(0, 2 * len(elements)))
+        ]
+        pairs += [(b, a) for a, b in pairs[:2]] + [(elements[0], elements[0])]
+        yield elements, pairs
+
+
+def test_quotient_matches_reachability_closure():
+    for elements, pairs in quotient_cases():
+        least = reachable_least(elements, pairs)
+        assert quotient(elements, pairs) == least
+        blocks: dict = {}
+        for x in elements:
+            blocks.setdefault(least[x], []).append(x)
+        assert partition(elements, pairs) == list(blocks.values())
 
 
 def test_nat_trans_identity_on_terminal():
