@@ -9,6 +9,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -384,9 +385,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused: parsing leaves no
+    state on it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except SchemaError as exc:

@@ -3,8 +3,9 @@
 Words are stored as tuples of signed 1-based generator indices; the JSON
 surface uses generator names with uppercase marking inverses.  Triviality
 claims rest on Tietze reduction to the empty presentation, which only ever
-applies sound moves; abelian invariants come from an integer Smith normal
-form with tracked unimodular transforms.
+applies sound moves; abelian invariants come from sparse elimination of
+the unit pivots of the relator exponent matrix, then an integer Smith
+normal form (with tracked unimodular transforms) of what is left.
 """
 
 from __future__ import annotations
@@ -274,24 +275,69 @@ def smith_normal_form(
     return diag, left, right
 
 
+def _exponent_row(word: tuple[int, ...]) -> dict[int, int]:
+    """Nonzero exponent sums of a word, keyed by 0-based generator."""
+    row: dict[int, int] = {}
+    for letter in word:
+        g = abs(letter) - 1
+        row[g] = row.get(g, 0) + (1 if letter > 0 else -1)
+    return {g: c for g, c in row.items() if c}
+
+
 def abelian_invariants(pres: GroupPresentation) -> tuple[int, tuple[int, ...]]:
     """Free rank and torsion factors (in divisibility order) of the
-    abelianization, via the Smith form of the relator exponent matrix."""
+    abelianization.
+
+    The relator exponent rows are kept sparse and every ±1 pivot is
+    eliminated first: the other rows are cleared in its column, and its
+    row and column drop out, which leaves the cokernel unchanged.  The
+    Smith form then runs on the few rows and columns left.
+    """
     gens = len(pres.generators)
     if gens == 0:
         return 0, ()
-    matrix = []
-    for word in pres.relators:
-        row = [0] * gens
-        for letter in word:
-            row[abs(letter) - 1] += 1 if letter > 0 else -1
-        matrix.append(row)
-    if not matrix:
-        return gens, ()
-    diag, _, _ = smith_normal_form(matrix)
-    diagonal = [diag[i][i] for i in range(min(len(matrix), gens))]
-    nonzero = [d for d in diagonal if d != 0]
-    rank = gens - len(nonzero)
+    rows = {k: row for k, row in enumerate(map(_exponent_row, pres.relators)) if row}
+    holders: dict[int, set[int]] = {g: set() for g in range(gens)}
+    for k, row in rows.items():
+        for g in row:
+            holders[g].add(k)
+    pending = sorted(rows, reverse=True)
+    while pending:
+        k = pending.pop()
+        row = rows.get(k)
+        if row is None:
+            continue
+        units = [g for g, c in row.items() if c in (1, -1)]
+        if not units:
+            continue
+        pivot = min(units, key=lambda g: len(holders[g]))
+        del rows[k]
+        for g in row:
+            holders[g].discard(k)
+        for other in holders.pop(pivot):
+            target = rows[other]
+            q = target.pop(pivot) * row[pivot]  # the pivot is its own inverse
+            for g, c in row.items():
+                if g == pivot:
+                    continue
+                value = target.get(g, 0) - q * c
+                if value:
+                    target[g] = value
+                    holders[g].add(other)
+                else:
+                    target.pop(g, None)
+                    holders[g].discard(other)
+            if target:
+                pending.append(other)
+            else:
+                del rows[other]
+    nonzero: list[int] = []
+    if rows:
+        used = sorted({g for row in rows.values() for g in row})
+        matrix = [[row.get(g, 0) for g in used] for row in rows.values()]
+        diag, _, _ = smith_normal_form(matrix)
+        nonzero = [d for d in (diag[i][i] for i in range(min(len(matrix), len(used)))) if d]
+    rank = len(holders) - len(nonzero)  # the columns left
     torsion = tuple(d for d in nonzero if d > 1)
     return rank, torsion
 
@@ -421,73 +467,99 @@ def _canonical_cyclic(word: tuple[int, ...]) -> tuple[int, ...]:
     return min(candidates)
 
 
+class _Relator:
+    """What the Tietze loop asks of a relator, worked out once per word."""
+
+    __slots__ = ("reduced", "key", "lone", "letters")
+
+    def __init__(self, word: tuple[int, ...]):
+        self.reduced = cyclic_reduce(word)
+        counts: dict[int, int] = {}
+        for letter in self.reduced:
+            counts[abs(letter)] = counts.get(abs(letter), 0) + 1
+        self.key = _canonical_cyclic(self.reduced)  # for deduplication
+        # the first generator that occurs exactly once, if any
+        self.lone = next((g for g, c in counts.items() if c == 1), None)
+        self.letters = frozenset(counts)  # the generators it uses
+
+
 def tietze_simplify(pres: GroupPresentation, budget: int = 100) -> GroupPresentation:
     """Sound presentation cleanup within a move budget.
 
     Moves: free and cyclic reduction, dropping empty or duplicate relators,
     and eliminating a generator that occurs exactly once in some relator.
     The isomorphism class of the group never changes.
+
+    Relators keep the input's generator numbers until the end, so a word
+    that a move leaves alone stays the same tuple, and what the loop asks
+    of it is looked up, not worked out again.  None of it depends on the
+    numbering: two words get equal keys iff they have the same rotations
+    of themselves and their inverses.
     """
-    gens = list(pres.generators)
-    rels = [cyclic_reduce(w) for w in pres.relators]
+    memo: dict[tuple[int, ...], _Relator] = {}
+
+    def info(w: tuple[int, ...]) -> _Relator:
+        got = memo.get(w)
+        if got is None:
+            got = _Relator(w)
+            memo[w] = memo[got.reduced] = got
+        return got
+
+    eliminated: set[int] = set()
+    rels = [info(w).reduced for w in pres.relators]
     moves = 0
     changed = True
     while changed and moves < budget:
         changed = False
-        rels = [cyclic_reduce(w) for w in rels]
-        rels = [w for w in rels if w]
+        rels = [r for r in (info(w).reduced for w in rels) if r]
         seen = {}
         for w in rels:
-            key = _canonical_cyclic(w)
-            if key not in seen:
-                seen[key] = w
+            seen.setdefault(info(w).key, w)
         if len(seen) != len(rels):
             rels = list(seen.values())
             changed = True
             moves += 1
             continue
-        victim = None
-        for r_idx, word in enumerate(rels):
-            counts: dict[int, int] = {}
-            for letter in word:
-                counts[abs(letter)] = counts.get(abs(letter), 0) + 1
-            for g_abs, c in counts.items():
-                if c == 1:
-                    victim = (r_idx, g_abs, word)
-                    break
-            if victim:
-                break
+        victim = next(
+            ((r_idx, word) for r_idx, word in enumerate(rels)
+             if info(word).lone is not None),
+            None,
+        )
         if victim is None:
             break
-        r_idx, g_abs, word = victim
+        r_idx, word = victim
+        g_abs = info(word).lone
         pos = next(k for k, letter in enumerate(word) if abs(letter) == g_abs)
         # word = u g^e v  =>  g^e = u^{-1} v^{-1}, g = (v u)^{-e}
         u, e, v = word[:pos], word[pos], word[pos + 1:]
         replacement = invert_word(v + u) if e > 0 else (v + u)
+        inverse = invert_word(replacement)
 
         def substitute(w: tuple[int, ...]) -> tuple[int, ...]:
+            if g_abs not in info(w).letters:
+                return w  # already free reduced, so nothing changes
             out: list[int] = []
             for letter in w:
                 if abs(letter) == g_abs:
-                    out.extend(replacement if letter > 0 else invert_word(replacement))
+                    out.extend(replacement if letter > 0 else inverse)
                 else:
                     out.append(letter)
             return free_reduce(tuple(out))
 
         rels = [substitute(w) for k, w in enumerate(rels) if k != r_idx]
-
-        def renumber(w: tuple[int, ...]) -> tuple[int, ...]:
-            out = []
-            for letter in w:
-                shiftv = abs(letter) - (1 if abs(letter) > g_abs else 0)
-                out.append(shiftv if letter > 0 else -shiftv)
-            return tuple(out)
-
-        rels = [renumber(w) for w in rels]
-        del gens[g_abs - 1]
+        eliminated.add(g_abs)
         moves += 1
         changed = True
-    out = GroupPresentation(gens, [w for w in (cyclic_reduce(w) for w in rels) if w])
+    kept = [k for k in range(1, len(pres.generators) + 1) if k not in eliminated]
+    number = {k: n for n, k in enumerate(kept, 1)}
+    out = GroupPresentation(
+        [pres.generators[k - 1] for k in kept],
+        [
+            tuple(number[letter] if letter > 0 else -number[-letter] for letter in r)
+            for r in (info(w).reduced for w in rels)
+            if r
+        ],
+    )
     out.validate()
     return out
 

@@ -271,12 +271,17 @@ def _glue_tag(a: int, xref: CellRef, cref: CellRef) -> str:
     return f"{a}${xref.serialize()}${cref.serialize()}"
 
 
-def _split_tag(tag: str) -> tuple[int, CellRef, CellRef]:
+def _tag_parts(tag: str) -> tuple[int, str, str]:
     # the degree never contains '$' and neither do sd(Δᵃ) cell names, so
     # the X cell is whatever lies between the first and the last '$'
     a_str, rest = tag.split("$", 1)
     xs, cs = rest.rsplit("$", 1)
-    return int(a_str), parse_cell_ref(xs), parse_cell_ref(cs)
+    return int(a_str), xs, cs
+
+
+def _split_tag(tag: str) -> tuple[int, CellRef, CellRef]:
+    a, xs, cs = _tag_parts(tag)
+    return a, parse_cell_ref(xs), parse_cell_ref(cs)
 
 
 @dataclass
@@ -305,48 +310,93 @@ def sd(x: SimplicialSet) -> SdResult:
     of sd(Δᵃ)) are glued along faces and degeneracies in the X slot against
     sd of the corresponding coface or codegeneracy in the other slot.
     """
+    model, class_of = _glued_model(x)
+    model.verify()
+    complex_, ref_of, origin = model.to_presentation("b")
+    return SdResult(complex_, class_of, ref_of, origin, x)
+
+
+def _glued_model(
+    x: SimplicialSet,
+) -> tuple[LevelwiseSSet, dict[tuple[int, str], str]]:
+    """The levelwise model of sd(X) and the class of every pair tag.
+
+    Each cell reference is serialized once, each sd of an elementary map
+    is applied once per level, and each representative is split once;
+    these lookups are dropped on return, before the model is checked.
+    """
     n_top = x.max_dim
+    names: dict[CellRef, str] = {}
+
+    def name(ref: CellRef) -> str:
+        text = names.get(ref)
+        if text is None:
+            text = names[ref] = ref.serialize()
+        return text
+
     x_cells = {a: x.all_cells(a) for a in range(n_top + 1)}
     sd_of = {a: sd_simplex(a, n_top) for a in range(n_top + 1)}
     sd_cells = {
         a: {m: sd_of[a].all_cells(m) for m in range(n_top + 1)}
         for a in range(n_top + 1)
     }
+    sd_names = {
+        a: {m: [name(cref) for cref in sd_cells[a][m]] for m in range(n_top + 1)}
+        for a in range(n_top + 1)
+    }
+    # the names of the faces and of the degeneracies of each sd(Δᵃ) cell
+    sd_ops: dict[tuple[int, str], tuple[list[str], list[str]]] = {}
+    for a in range(n_top + 1):
+        for m in range(n_top + 1):
+            for c, cref in zip(sd_names[a][m], sd_cells[a][m]):
+                faces = [sd_of[a].face(cref, i) for i in range(m + 1)] if m else []
+                degs = (
+                    [sd_of[a].degeneracy(cref, i) for i in range(m + 1)]
+                    if m < n_top else []
+                )
+                sd_ops[(a, c)] = ([name(f) for f in faces], [name(d) for d in degs])
+    # the "a$x$" head of the tags of each X cell and, per face or
+    # degeneracy operator, the head of the image beside that of the cell
+    head = {a: [f"{a}${name(xref)}$" for xref in x_cells[a]] for a in x_cells}
+    face_heads = {
+        (a, i): list(zip(
+            (f"{a - 1}${name(x.face(xref, i))}$" for xref in x_cells[a]), head[a]
+        ))
+        for a in range(1, n_top + 1)
+        for i in range(a + 1)
+    }
+    deg_heads = {
+        (a, i): list(zip(
+            (f"{a + 1}${name(x.degeneracy(xref, i))}$" for xref in x_cells[a]),
+            head[a],
+        ))
+        for a in range(n_top)
+        for i in range(a + 1)
+    }
 
     levels: dict[int, list[str]] = {}
     class_of: dict[tuple[int, str], str] = {}
     for m in range(n_top + 1):
         tags = [
-            _glue_tag(a, xref, cref)
-            for a in range(n_top + 1)
-            for xref in x_cells[a]
-            for cref in sd_cells[a][m]
+            h + c for a in range(n_top + 1) for h in head[a] for c in sd_names[a][m]
         ]
         pairs = []
-        for a in range(1, n_top + 1):
-            for i in range(a + 1):
-                sd_di = sd_elementary_map(a, "d", i, n_top)
-                for xref in x_cells[a]:
-                    fx = x.face(xref, i)
-                    for cref in sd_cells[a - 1][m]:
-                        pairs.append(
-                            (
-                                _glue_tag(a - 1, fx, cref),
-                                _glue_tag(a, xref, sd_di.apply(cref)),
-                            )
-                        )
-        for a in range(n_top):
-            for i in range(a + 1):
-                sd_si = sd_elementary_map(a, "s", i, n_top)
-                for xref in x_cells[a]:
-                    sx = x.degeneracy(xref, i)
-                    for cref in sd_cells[a + 1][m]:
-                        pairs.append(
-                            (
-                                _glue_tag(a + 1, sx, cref),
-                                _glue_tag(a, xref, sd_si.apply(cref)),
-                            )
-                        )
+        for (a, i), heads in face_heads.items():
+            sd_di = sd_elementary_map(a, "d", i, n_top)
+            images = [
+                (c, name(sd_di.apply(cref)))
+                for c, cref in zip(sd_names[a - 1][m], sd_cells[a - 1][m])
+            ]
+            for low, high in heads:
+                pairs.extend((low + c, high + image) for c, image in images)
+        for (a, i), heads in deg_heads.items():
+            sd_si = sd_elementary_map(a, "s", i, n_top)
+            images = [
+                (c, name(sd_si.apply(cref)))
+                for c, cref in zip(sd_names[a + 1][m], sd_cells[a + 1][m])
+            ]
+            for high, low in heads:
+                pairs.extend((high + c, low + image) for c, image in images)
         classes = _union_find(tags, pairs)
         levels[m] = sorted(set(classes.values()))
         for tag, rep in classes.items():
@@ -354,26 +404,23 @@ def sd(x: SimplicialSet) -> SdResult:
 
     face_op: dict[tuple[int, int], dict[str, str]] = {}
     deg_op: dict[tuple[int, int], dict[str, str]] = {}
-    for m in range(1, n_top + 1):
+    for m in range(n_top + 1):
+        split = []
+        for rep in levels[m]:
+            a, _, c = _tag_parts(rep)
+            split.append((rep, rep[: -len(c)], *sd_ops[(a, c)]))
         for i in range(m + 1):
-            table = {}
-            for rep in levels[m]:
-                a, xref, cref = _split_tag(rep)
-                down = sd_of[a].face(cref, i)
-                table[rep] = class_of[(m - 1, _glue_tag(a, xref, down))]
-            face_op[(m, i)] = table
-    for m in range(n_top):
-        for i in range(m + 1):
-            table = {}
-            for rep in levels[m]:
-                a, xref, cref = _split_tag(rep)
-                up = sd_of[a].degeneracy(cref, i)
-                table[rep] = class_of[(m + 1, _glue_tag(a, xref, up))]
-            deg_op[(m, i)] = table
-    model = LevelwiseSSet(n_top, levels, face_op, deg_op)
-    model.verify()
-    complex_, ref_of, origin = model.to_presentation("b")
-    return SdResult(complex_, class_of, ref_of, origin, x)
+            if m > 0:
+                face_op[(m, i)] = {
+                    rep: class_of[(m - 1, prefix + down[i])]
+                    for rep, prefix, down, _ in split
+                }
+            if m < n_top:
+                deg_op[(m, i)] = {
+                    rep: class_of[(m + 1, prefix + up[i])]
+                    for rep, prefix, _, up in split
+                }
+    return LevelwiseSSet(n_top, levels, face_op, deg_op), class_of
 
 
 def sd_map(f: SimplicialMap, sdx: SdResult, sdy: SdResult) -> SimplicialMap:

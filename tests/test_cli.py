@@ -2,13 +2,21 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from homcat.cli import main
+import homcat
+from homcat.cli import _parser, main
+from homcat.homotopy import pi1
 from homcat.simplicial import horn, nerve
+from homcat.subdivision import sd
 
 import corpus
+from test_homotopy import rp2_triangulation, torus_triangulation
 from test_simplicial import s1_model
 
 
@@ -340,6 +348,84 @@ def test_quotient_reports_are_byte_identical(tmp_path, capsys, argv, digest):
     code, out = quotient_report(tmp_path, capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def svk_leg(surface) -> dict:
+    """Z = <c> into π₁ of the surface, c going to its last generator."""
+    target = pi1(surface, "t0").to_json_dict()
+    return {
+        "v": 1,
+        "source": {"v": 1, "gens": ["c"], "rels": []},
+        "target": target,
+        "images": {"c": [target["gens"][-1]]},
+    }
+
+
+SURFACE_FIXTURES = {
+    "torus": lambda: torus_triangulation().to_json_dict(),
+    "rp2": lambda: rp2_triangulation().to_json_dict(),
+    "sd-torus": lambda: sd(torus_triangulation()).complex.to_json_dict(),
+    "sd-rp2": lambda: sd(rp2_triangulation()).complex.to_json_dict(),
+    "torus-leg": lambda: svk_leg(torus_triangulation()),
+    "rp2-leg": lambda: svk_leg(rp2_triangulation()),
+}
+
+# sha256 of stdout of the verbs that subdivide, present π₁, simplify it
+# and abelianize it, on two surfaces; how sd glues, how Tietze moves are
+# tracked and how the abelianization is eliminated must not change a byte
+PINNED_SURFACE_REPORTS = [
+    (["pi1", "torus", "--base", "t0"],
+     "4287f4af82c574161997c1966a3843a164c8e252c9c38555fbd8ae3905fab3c8"),
+    (["pi1", "rp2", "--base", "t0"],
+     "c282abae83d97560860c45f6c86c06ec341c4a1aba8a9e2a22340ee9798c87c2"),
+    (["pi1", "sd-torus", "--base", "b0_0"],
+     "6ae0edcd9240adcf79c411f0a0c34a9d7aeb05ab174f78603884b6e8615e1edf"),
+    (["pi1", "sd-rp2", "--base", "b0_0"],
+     "0962ebc7b5e7d749ab6768dca00fc617daa1e8e49e2b7768bd91635596352964"),
+    (["svk", "torus-leg", "rp2-leg"],
+     "2d9d288028a8e0e293c7717e59c8c932343145cc58ce9c676a0d24358fdcae05"),
+    (["sd", "torus"],
+     "710b921ffa107aa972ba978edd028810ea3f5479999faf9758b33ae487ded78c"),
+    (["sd", "rp2"],
+     "6362dd97524deea6005cb4eb42ff10805c175c5374589d903d59eded9a370f08"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_SURFACE_REPORTS)
+def test_surface_reports_are_byte_identical(tmp_path, capsys, argv, digest):
+    args = [
+        write(tmp_path, f"{a}.json", SURFACE_FIXTURES[a]())
+        if a in SURFACE_FIXTURES else a
+        for a in argv
+    ]
+    code, out = run(capsys, *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_reused_parser_matches_fresh_processes(tmp_path, capsys):
+    # main builds its parser once; no option of one call may leak into the next
+    assert _parser() is _parser()
+    path = write(tmp_path, "torus.json", torus_triangulation().to_json_dict())
+    src = str(pathlib.Path(homcat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    calls = [
+        ["pi1", path, "--base", "t0", "--budget", "0"],
+        ["pi0", path],
+        ["pi1", path],  # no --base: a parse error
+        ["pi1", path, "--base", "t0"],
+        ["sd", path],
+    ]
+    for argv in calls:
+        try:
+            code, out = run(capsys, *argv)
+        except SystemExit as exc:
+            code, out = exc.code, capsys.readouterr().out
+        fresh = subprocess.run(
+            [sys.executable, "-m", "homcat.cli", *argv],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert (code, out) == (fresh.returncode, fresh.stdout)
 
 
 def test_horns_verb(tmp_path, capsys):

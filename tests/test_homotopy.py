@@ -7,6 +7,7 @@ import pytest
 
 from homcat.errors import BaseNotFound, DimensionTooLow, SchemaError
 from homcat.homotopy import (
+    _canonical_cyclic,
     GroupHomSpec,
     GroupPresentation,
     abelian_invariants,
@@ -24,19 +25,17 @@ from homcat.homotopy import (
     tietze_simplify,
 )
 from homcat.simplicial import CellRef, SimplicialSet, boundary, nerve, standard_simplex
+from homcat.subdivision import sd
 
 import corpus
 from test_simplicial import s1_model, wedge_of_circles
 
 
-def torus_triangulation() -> SimplicialSet:
-    """The 7-vertex triangulated torus: triangles {i,i+1,i+3} and
-    {i,i+2,i+3} mod 7."""
-    vertices = [f"t{k}" for k in range(7)]
-    triangles = []
-    for i in range(7):
-        triangles.append(tuple(sorted(((i) % 7, (i + 1) % 7, (i + 3) % 7))))
-        triangles.append(tuple(sorted(((i) % 7, (i + 2) % 7, (i + 3) % 7))))
+def triangulated_surface(n_vertices: int, triangles) -> SimplicialSet:
+    """The complex of a triangulation on vertices 0..n-1, named t{k},
+    with edges e{a}{b} and triangles f{a}{b}{c} (a < b < c)."""
+    vertices = [f"t{k}" for k in range(n_vertices)]
+    triangles = [tuple(sorted(tri)) for tri in triangles]
     edges = sorted({(a, b) for tri in triangles for a, b in itertools.combinations(tri, 2)})
     edge_name = {e: f"e{e[0]}{e[1]}" for e in edges}
     cells = {
@@ -56,6 +55,24 @@ def torus_triangulation() -> SimplicialSet:
     x = SimplicialSet(2, cells, faces)
     x.validate()
     return x
+
+
+def torus_triangulation() -> SimplicialSet:
+    """The 7-vertex triangulated torus: triangles {i,i+1,i+3} and
+    {i,i+2,i+3} mod 7."""
+    triangles = []
+    for i in range(7):
+        triangles.append((i, (i + 1) % 7, (i + 3) % 7))
+        triangles.append((i, (i + 2) % 7, (i + 3) % 7))
+    return triangulated_surface(7, triangles)
+
+
+def rp2_triangulation() -> SimplicialSet:
+    """The 6-vertex real projective plane (half an icosahedron)."""
+    return triangulated_surface(6, [
+        (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+        (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3),
+    ])
 
 
 def disk_on_circle() -> SimplicialSet:
@@ -223,6 +240,89 @@ def test_abelian_invariants_examples():
     assert abelian_invariants(torus) == (2, ())
     mixed = GroupPresentation(["a", "b"], [(1, 1, 2, 2, 2, 2)])
     assert abelian_invariants(mixed) == (1, (2,))
+
+
+def matrix_presentation(rng, matrix, gens) -> GroupPresentation:
+    """Relators whose exponent rows are the rows of ``matrix``, with the
+    letters of each word shuffled."""
+    words = []
+    for row in matrix:
+        word = []
+        for j, c in enumerate(row):
+            word.extend([j + 1 if c > 0 else -(j + 1)] * abs(c))
+        rng.shuffle(word)
+        words.append(tuple(word))
+    return GroupPresentation([f"g{j}" for j in range(gens)], words)
+
+
+def dense_invariants(matrix, gens) -> tuple[int, tuple[int, ...]]:
+    """(rank, torsion) read off the Smith form of the whole matrix."""
+    if gens == 0:
+        return 0, ()
+    if not matrix:
+        return gens, ()
+    diag, _, _ = smith_normal_form(matrix)
+    nonzero = [d for d in (diag[i][i] for i in range(min(len(matrix), gens))) if d]
+    return gens - len(nonzero), tuple(d for d in nonzero if d > 1)
+
+
+def sparse_matrices(rng, count):
+    """Seeded sparse integer matrices, tall, wide and square, some with no
+    ±1 entry, some with zero rows and some with repeated rows."""
+    for k in range(count):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        if k % 3 == 0:
+            rows = max(rows, cols + 2)  # tall
+        elif k % 3 == 1:
+            cols = max(cols, rows + 2)  # wide
+        else:
+            cols = rows  # square
+        values = [-6, -4, -3, -2, 2, 3, 4, 6] if k % 4 == 0 else [-3, -2, -1, 1, 2, 3]
+        matrix = [
+            [rng.choice(values) if rng.random() < 0.3 else 0 for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        if k % 5 == 0:
+            matrix[rng.randrange(rows)] = [0] * cols
+        if k % 7 == 0:
+            matrix.append(list(rng.choice(matrix)))
+        yield matrix, cols
+
+
+def test_abelian_invariants_match_dense_smith_form():
+    rng = random.Random(4242)
+    for matrix, gens in sparse_matrices(rng, 400):
+        pres = matrix_presentation(rng, matrix, gens)
+        assert abelian_invariants(pres) == dense_invariants(matrix, gens), matrix
+    # no generators, no relators, and only trivial relators
+    assert abelian_invariants(GroupPresentation([], [])) == (0, ())
+    assert abelian_invariants(GroupPresentation(["a", "b"], [])) == (2, ())
+    assert abelian_invariants(GroupPresentation(["a", "b"], [(), (1, -1)])) == (2, ())
+
+
+def test_abelian_invariants_against_sympy():
+    from sympy import Matrix
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(5151)
+    for matrix, gens in sparse_matrices(rng, 60):
+        reference = sympy_snf(Matrix(matrix))
+        factors = [
+            abs(reference[i, i]) for i in range(min(len(matrix), gens)) if reference[i, i]
+        ]
+        want = (gens - len(factors), tuple(sorted(d for d in factors if d > 1)))
+        assert abelian_invariants(matrix_presentation(rng, matrix, gens)) == want, matrix
+
+
+@pytest.mark.parametrize("build,relators,homology", [
+    (torus_triangulation, 755, (2, ())),
+    (rp2_triangulation, 540, (0, (2,))),
+])
+def test_abelian_invariants_of_twice_subdivided_surfaces(build, relators, homology):
+    x = sd(sd(build()).complex).complex
+    pres = pi1(x, x.cells[0][0])
+    assert len(pres.relators) == relators
+    assert abelian_invariants(pres) == homology
 
 
 # -- pi1 -----------------------------------------------------------------------
@@ -401,3 +501,121 @@ def test_tietze_preserves_abelian_invariants():
         pres = GroupPresentation(gens, rels)
         reduced = tietze_simplify(pres, budget=100)
         assert abelian_invariants(pres) == abelian_invariants(reduced)
+
+
+# The move-by-move Tietze loop that renumbered every relator after each
+# elimination, kept verbatim as an oracle: the incremental loop must give
+# the same generators and relators, budget-bound runs included.
+def tietze_oracle(pres: GroupPresentation, budget: int = 100) -> GroupPresentation:
+    """Sound presentation cleanup within a move budget.
+
+    Moves: free and cyclic reduction, dropping empty or duplicate relators,
+    and eliminating a generator that occurs exactly once in some relator.
+    The isomorphism class of the group never changes.
+    """
+    gens = list(pres.generators)
+    rels = [cyclic_reduce(w) for w in pres.relators]
+    moves = 0
+    changed = True
+    while changed and moves < budget:
+        changed = False
+        rels = [cyclic_reduce(w) for w in rels]
+        rels = [w for w in rels if w]
+        seen = {}
+        for w in rels:
+            key = _canonical_cyclic(w)
+            if key not in seen:
+                seen[key] = w
+        if len(seen) != len(rels):
+            rels = list(seen.values())
+            changed = True
+            moves += 1
+            continue
+        victim = None
+        for r_idx, word in enumerate(rels):
+            counts: dict[int, int] = {}
+            for letter in word:
+                counts[abs(letter)] = counts.get(abs(letter), 0) + 1
+            for g_abs, c in counts.items():
+                if c == 1:
+                    victim = (r_idx, g_abs, word)
+                    break
+            if victim:
+                break
+        if victim is None:
+            break
+        r_idx, g_abs, word = victim
+        pos = next(k for k, letter in enumerate(word) if abs(letter) == g_abs)
+        # word = u g^e v  =>  g^e = u^{-1} v^{-1}, g = (v u)^{-e}
+        u, e, v = word[:pos], word[pos], word[pos + 1:]
+        replacement = invert_word(v + u) if e > 0 else (v + u)
+
+        def substitute(w: tuple[int, ...]) -> tuple[int, ...]:
+            out: list[int] = []
+            for letter in w:
+                if abs(letter) == g_abs:
+                    out.extend(replacement if letter > 0 else invert_word(replacement))
+                else:
+                    out.append(letter)
+            return free_reduce(tuple(out))
+
+        rels = [substitute(w) for k, w in enumerate(rels) if k != r_idx]
+
+        def renumber(w: tuple[int, ...]) -> tuple[int, ...]:
+            out = []
+            for letter in w:
+                shiftv = abs(letter) - (1 if abs(letter) > g_abs else 0)
+                out.append(shiftv if letter > 0 else -shiftv)
+            return tuple(out)
+
+        rels = [renumber(w) for w in rels]
+        del gens[g_abs - 1]
+        moves += 1
+        changed = True
+    out = GroupPresentation(gens, [w for w in (cyclic_reduce(w) for w in rels) if w])
+    out.validate()
+    return out
+
+
+def random_presentation(rng) -> GroupPresentation:
+    gens = [f"g{k}" for k in range(rng.randint(1, 6))]
+    rels = []
+    for _ in range(rng.randint(0, 8)):
+        if rels and rng.random() < 0.25:
+            # a rotation of an earlier relator or of its inverse: a duplicate
+            w = rng.choice(rels)
+            w = invert_word(w) if rng.random() < 0.5 else w
+            k = rng.randrange(len(w)) if w else 0
+            rels.append(w[k:] + w[:k])
+            continue
+        rels.append(tuple(
+            rng.choice([1, -1]) * rng.randint(1, len(gens))
+            for _ in range(rng.randint(0, 8))
+        ))
+    return GroupPresentation(gens, rels)
+
+
+def test_tietze_matches_renumbering_oracle_on_random_presentations():
+    rng = random.Random(9090)
+    for _ in range(300):
+        pres = random_presentation(rng)
+        for budget in (0, 1, 5, 100):
+            got = tietze_simplify(pres, budget=budget)
+            want = tietze_oracle(pres, budget=budget)
+            assert (got.generators, got.relators) == (want.generators, want.relators)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: boundary(3, 2), torus_triangulation, rp2_triangulation],
+    ids=["sphere", "torus", "rp2"],
+)
+def test_tietze_matches_renumbering_oracle_on_subdivided_surfaces(build):
+    x = build()
+    for level in range(3):
+        pres = pi1(x, x.cells[0][0])
+        for budget in (5, 100) if level == 2 else (5, 100, 10**6):
+            got = tietze_simplify(pres, budget=budget)
+            want = tietze_oracle(pres, budget=budget)
+            assert (got.generators, got.relators) == (want.generators, want.relators)
+        x = sd(x).complex
