@@ -256,6 +256,10 @@ def eckmann_hilton_scan(max_size: int) -> list[InterchangeReport]:
     ``max_size``: any two unital operations satisfying
     (a⋆b)∘(c⋆d) = (a∘c)⋆(b∘d) must coincide and be commutative and
     associative.  Distinct units are allowed; interchange forces them equal.
+
+    Each table is also built once as a flat tuple of element indices (i∘j
+    at position i·n + j), and the law runs on those, over the n⁴ position
+    quadruples listed once per size; failures are read off the named tables.
     """
     if max_size >= 4:
         raise BudgetExceeded(
@@ -265,14 +269,19 @@ def eckmann_hilton_scan(max_size: int) -> list[InterchangeReport]:
     reports = []
     for size in range(1, max_size + 1):
         elements = tuple(f"x{k}" for k in range(size))
-        tables = list(_unital_tables(elements))
+        index = {x: k for k, x in enumerate(elements)}
+        tables = [
+            (unit, op, tuple(index[op[(a, b)]] for a in elements for b in elements))
+            for unit, op in _unital_tables(elements)
+        ]
+        quads = _interchange_positions(size)
         pairs_checked = 0
         interchange_pairs = 0
         counterexamples = []
-        for unit1, op1 in tables:
-            for unit2, op2 in tables:
+        for unit1, op1, flat1 in tables:
+            for unit2, op2, flat2 in tables:
                 pairs_checked += 1
-                if not _interchange_holds(elements, op1, op2):
+                if not _interchange_holds_on_indices(flat1, flat2, size, quads):
                     continue
                 interchange_pairs += 1
                 problems = _collapse_failures(
@@ -286,15 +295,18 @@ def eckmann_hilton_scan(max_size: int) -> list[InterchangeReport]:
     return reports
 
 
-def _interchange_holds(elements, op1, op2) -> bool:
-    for a in elements:
-        for b in elements:
-            ab = op1[(a, b)]
-            for c in elements:
-                ac = op2[(a, c)]
-                for d in elements:
-                    if op2[(ab, op1[(c, d)])] != op1[(ac, op2[(b, d)])]:
-                        return False
+def _interchange_positions(n: int) -> list[tuple[int, int, int, int]]:
+    """(a·n+b, c·n+d, a·n+c, b·n+d) for every a, b, c, d < n."""
+    return [(a * n + b, c * n + d, a * n + c, b * n + d)
+            for a, b, c, d in itertools.product(range(n), repeat=4)]
+
+
+def _interchange_holds_on_indices(flat1, flat2, n, quads) -> bool:
+    """The interchange law for the index tables of ⋆ (``flat1``) and ∘
+    (``flat2``), stopping at the first quadruple that breaks it."""
+    for ab, cd, ac, bd in quads:
+        if flat2[flat1[ab] * n + flat1[cd]] != flat1[flat2[ac] * n + flat2[bd]]:
+            return False
     return True
 
 

@@ -359,46 +359,34 @@ class GroupHomSpec:
                 if letter == 0 or abs(letter) > len(self.target.generators):
                     raise SchemaError(f"image letter {letter} out of range")
         # necessary condition: relators must die in the abelianization of
-        # the target (the full word problem is not decidable here)
+        # the target (the full word problem is not decidable here); all the
+        # images are tested at once, and one by one only to name a culprit
+        images = []
         for word in self.source.relators:
             image = []
             for letter in word:
                 img = self.images[self.source.generators[abs(letter) - 1]]
                 image.extend(img if letter > 0 else invert_word(img))
-            if not _abelianized_trivial(tuple(image), self.target):
-                raise SchemaError(
-                    "a relator image is nontrivial in the target abelianization",
-                    relator=self.source.word_to_names(word),
-                )
+            images.append(tuple(image))
+        invariants = abelian_invariants(self.target)
+        if not _abelianized_trivial(images, self.target, invariants):
+            culprit = next(w for w, image in zip(self.source.relators, images)
+                           if not _abelianized_trivial([image], self.target, invariants))
+            raise SchemaError(
+                "a relator image is nontrivial in the target abelianization",
+                relator=self.source.word_to_names(culprit),
+            )
 
 
-def _abelianized_trivial(word: tuple[int, ...], pres: GroupPresentation) -> bool:
-    gens = len(pres.generators)
-    vec = [0] * gens
-    for letter in word:
-        vec[abs(letter) - 1] += 1 if letter > 0 else -1
-    if not any(vec):
-        return True
-    if not pres.relators:
-        return False
-    matrix = []
-    for rel in pres.relators:
-        row = [0] * gens
-        for letter in rel:
-            row[abs(letter) - 1] += 1 if letter > 0 else -1
-        matrix.append(row)
-    diag, _, right = smith_normal_form(matrix)
-    moved = [
-        sum(vec[i] * right[i][j] for i in range(gens)) for j in range(gens)
-    ]
-    for j in range(gens):
-        d = diag[j][j] if j < len(matrix) else 0
-        if d == 0:
-            if moved[j] != 0:
-                return False
-        elif moved[j] % d != 0:
-            return False
-    return True
+def _abelianized_trivial(words, pres: GroupPresentation, invariants) -> bool:
+    """Whether the exponent vectors of ``words`` all lie in the relator
+    lattice L, given ``invariants`` = abelian_invariants(pres).  With V their
+    span, Z^g/(L + V) is a quotient of Z^g/L, and a finitely generated
+    abelian group is not isomorphic to a proper quotient of itself, so
+    V ⊆ L exactly when adding the words as relators leaves the invariants
+    unchanged."""
+    widened = GroupPresentation(pres.generators, pres.relators + list(words))
+    return abelian_invariants(widened) == invariants
 
 
 def homspec_from_json(raw: dict) -> GroupHomSpec:

@@ -1,8 +1,9 @@
 """Diagrams of finite sets: limits, colimits, ends, coends, Kan extensions.
 
-Limits are computed literally as the equalizer of the two parallel maps
-out of the big product over objects into the product over morphisms; dually
-for colimits with a union-find quotient.  Everything is exact enumeration.
+Limits are computed as the equalizer of the two parallel maps out of the
+product over objects, taken into the set of values the two maps take, so the
+product over morphisms is never enumerated; dually for colimits with a
+union-find quotient.  Everything is exact enumeration.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from .fincat import quotient as _quotient  # perfbench/tracing.py wraps this nam
 
 @dataclass(frozen=True)
 class FinSetRep:
-    """A named finite set; element tokens are distinct strings."""
+    """A named finite set of distinct tokens: strings, or tuples of strings."""
 
     name: str
-    elements: tuple[str, ...]
+    elements: tuple
 
     def __post_init__(self):
         if len(set(self.elements)) != len(self.elements):
@@ -45,10 +46,11 @@ class FinFunction:
     mapping: dict
 
     def __post_init__(self):
+        target = set(self.target.elements)
         for x in self.source.elements:
             if x not in self.mapping:
                 raise SchemaError(f"function undefined on {x!r}")
-            if self.mapping[x] not in self.target.elements:
+            if self.mapping[x] not in target:
                 raise SchemaError(f"image of {x!r} is outside the target")
 
     def __call__(self, x: str) -> str:
@@ -180,43 +182,34 @@ def coequalizer(f: FinFunction, g: FinFunction) -> ConeResult:
     return ConeResult(apex, {0: proj})
 
 
+def _parallel_maps(source: FinSetRep, mors, *sides) -> list[FinFunction]:
+    """The maps e ↦ (side(e, m))_m out of ``source``, all into the set of
+    values they take.  An equalizer of corestrictions is the same subset, so
+    the product over ``mors`` is never enumerated; values are compared as
+    tuples, componentwise."""
+    maps = [{e: tuple(side(e, m) for m in mors) for e in source.elements} for side in sides]
+    image = FinSetRep("im", tuple(dict.fromkeys(v for mp in maps for v in mp.values())))
+    return [FinFunction(source, image, mp) for mp in maps]
+
+
 def limit(d: Diagram) -> ConeResult:
     """Universal cone, as the equalizer of the two parallel maps
-    ∏_Y F(Y) ⇉ ∏_f F(cod f)."""
+    ∏_Y F(Y) ⇉ ∏_f F(cod f), taken into the image of the two maps so the
+    product over morphisms is never enumerated."""
     objs = d.shape.objects
     obj_prod = product([d.values[y] for y in objs])
-    mors = [m for m in d.shape.morphisms]
-    mor_prod = product([d.values[m.dst] for m in mors])
-
-    def to_mor_tuple(elem: str, component) -> str:
-        return tuple_token([component(m, k) for k, m in enumerate(mors)])
-
-    def side_one(elem: str) -> str:
-        # component at f is F(f) applied to the dom(f) coordinate
-        return to_mor_tuple(
-            elem,
-            lambda m, k: d.arrows[m.name](obj_prod.legs[objs.index(m.src)](elem)),
-        )
-
-    def side_two(elem: str) -> str:
-        # component at f is the cod(f) coordinate, untouched
-        return to_mor_tuple(
-            elem, lambda m, k: obj_prod.legs[objs.index(m.dst)](elem)
-        )
-
-    s = FinFunction(
-        obj_prod.apex, mor_prod.apex, {e: side_one(e) for e in obj_prod.apex.elements}
+    coord = {y: obj_prod.legs[k] for k, y in enumerate(objs)}
+    s, t = _parallel_maps(
+        obj_prod.apex,
+        d.shape.morphisms,
+        # at f: F(f) of the dom(f) coordinate, and the cod(f) coordinate untouched
+        lambda e, m: d.arrows[m.name](coord[m.src](e)),
+        lambda e, m: coord[m.dst](e),
     )
-    t = FinFunction(
-        obj_prod.apex, mor_prod.apex, {e: side_two(e) for e in obj_prod.apex.elements}
-    )
-    eq = equalizer(s, t)
+    apex = FinSetRep(f"lim({obj_prod.apex.name})", equalizer(s, t).apex.elements)
     legs = {
-        y: eq.legs[0].then(obj_prod.legs[k]) for k, y in enumerate(objs)
-    }
-    apex = FinSetRep(f"lim({obj_prod.apex.name})", eq.apex.elements)
-    legs = {
-        y: FinFunction(apex, d.values[y], dict(fn.mapping)) for y, fn in legs.items()
+        y: FinFunction(apex, d.values[y], {e: coord[y](e) for e in apex.elements})
+        for y in objs
     }
     return ConeResult(apex, legs)
 
@@ -411,38 +404,22 @@ def nat_trans_bifunctor(f: FinFunctor, g: FinFunctor) -> Bifunctor:
 
 
 def end_cone(h: Bifunctor) -> ConeResult:
-    """End as the equalizer of ∏_X H(X,X) ⇉ ∏_f H(dom f, cod f)."""
+    """End as the equalizer of ∏_X H(X,X) ⇉ ∏_f H(dom f, cod f), taken into
+    the image of the two maps like the limit."""
     c = h.shape
     objs = c.objects
     diag_prod = product([h.value(x, x) for x in objs])
-    mors = list(c.morphisms)
-    mor_prod = product([h.value(m.src, m.dst) for m in mors])
-
-    def build(side) -> FinFunction:
-        mapping = {}
-        for e in diag_prod.apex.elements:
-            mapping[e] = tuple_token([side(e, m) for m in mors])
-        return FinFunction(diag_prod.apex, mor_prod.apex, mapping)
-
-    s = build(
-        lambda e, m: h.action(c.identity[m.src], m.name)(
-            diag_prod.legs[objs.index(m.src)](e)
-        )
+    coord = {x: diag_prod.legs[k] for k, x in enumerate(objs)}
+    s, t = _parallel_maps(
+        diag_prod.apex,
+        c.morphisms,
+        lambda e, m: h.action(c.identity[m.src], m.name)(coord[m.src](e)),
+        lambda e, m: h.action(m.name, c.identity[m.dst])(coord[m.dst](e)),
     )
-    t = build(
-        lambda e, m: h.action(m.name, c.identity[m.dst])(
-            diag_prod.legs[objs.index(m.dst)](e)
-        )
-    )
-    eq = equalizer(s, t)
-    apex = FinSetRep("end", eq.apex.elements)
+    apex = FinSetRep("end", equalizer(s, t).apex.elements)
     legs = {
-        x: FinFunction(
-            apex,
-            h.value(x, x),
-            {e: diag_prod.legs[k](e) for e in apex.elements},
-        )
-        for k, x in enumerate(objs)
+        x: FinFunction(apex, h.value(x, x), {e: coord[x](e) for e in apex.elements})
+        for x in objs
     }
     return ConeResult(apex, legs)
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
+from types import MappingProxyType
 
 from .errors import BudgetExceeded, DEFAULT_HORN_BUDGET, SchemaError
 from .fincat import FinCategory, FinFunctor, validate_category
@@ -41,7 +42,29 @@ def _subset_name(subset: tuple[int, ...]) -> str:
     return ".".join(str(v) for v in subset)
 
 
-@lru_cache(maxsize=None)
+def _shared_cache(build):
+    """``lru_cache`` for builders whose results every caller shares: public
+    lists and dicts of a result become tuples and read-only mappings, so no
+    caller can change what a later call returns; memo tables stay private."""
+    def frozen(value):
+        if isinstance(value, list):
+            return tuple(value)
+        if isinstance(value, dict):
+            return MappingProxyType({k: frozen(v) for k, v in value.items()})
+        return value
+
+    @lru_cache(maxsize=None)
+    @wraps(build)
+    def cached(*args, **kwargs):
+        value = build(*args, **kwargs)
+        for name, field in list(vars(value).items()):
+            if not name.startswith("_"):
+                setattr(value, name, frozen(field))
+        return value
+    return cached
+
+
+@_shared_cache
 def subset_poset(n: int) -> FinCategory:
     """Nonempty subsets of [n], ordered by inclusion."""
     subsets = []
@@ -68,7 +91,7 @@ def subset_poset(n: int) -> FinCategory:
     )
 
 
-@lru_cache(maxsize=None)
+@_shared_cache
 def sd_simplex(n: int, max_dim: int | None = None) -> SimplicialSet:
     """sd(Δⁿ): the nerve of the nonempty-subset poset of [n].
 
@@ -101,7 +124,7 @@ def _poset_functor(n_src: int, n_dst: int, vertex_map: DeltaMap) -> FinFunctor:
     return f
 
 
-@lru_cache(maxsize=None)
+@_shared_cache
 def sd_elementary_map(n: int, kind: str, i: int, max_dim: int) -> SimplicialMap:
     """sd applied to a coface (kind 'd') or codegeneracy (kind 's').
 

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
 from homcat.algebra import (
     FinAction,
+    _interchange_holds_on_indices,
+    _interchange_positions,
     action_to_aut_hom,
     check_action,
     check_group,
@@ -13,6 +16,7 @@ from homcat.algebra import (
     eckmann_hilton_scan,
     orbit,
 )
+from homcat.cli import main
 from homcat.errors import (
     AssocAxiomFailed,
     BudgetExceeded,
@@ -251,3 +255,65 @@ def test_scan_size_four_is_rejected():
         eckmann_hilton_scan(4)
     with pytest.raises(BudgetExceeded):
         eckmann_hilton_scan(9)
+
+
+def interchange_oracle(elements, op1, op2) -> bool:
+    """The interchange test on dict-keyed tables, as the scan ran it before
+    it moved to index tables."""
+    for a in elements:
+        for b in elements:
+            ab = op1[(a, b)]
+            for c in elements:
+                ac = op2[(a, c)]
+                for d in elements:
+                    if op2[(ab, op1[(c, d)])] != op1[(ac, op2[(b, d)])]:
+                        return False
+    return True
+
+
+def random_unital_table(rng, elements) -> dict:
+    unit = rng.choice(elements)
+    return {
+        (a, b): b if a == unit else a if b == unit else rng.choice(elements)
+        for a in elements
+        for b in elements
+    }
+
+
+def test_index_interchange_matches_dict_oracle():
+    rng = random.Random(8128)
+    for size in (1, 2, 3):
+        elements = tuple(f"x{k}" for k in range(size))
+        index = {x: k for k, x in enumerate(elements)}
+        quads = _interchange_positions(size)
+        # random tables, plus addition mod n, which satisfies interchange
+        # with itself
+        tables = [random_unital_table(rng, elements) for _ in range(30)]
+        tables.append({
+            (a, b): elements[(index[a] + index[b]) % size]
+            for a in elements
+            for b in elements
+        })
+        flats = [
+            tuple(index[op[(a, b)]] for a in elements for b in elements) for op in tables
+        ]
+        outcomes = set()
+        for op1, flat1 in zip(tables, flats):
+            for op2, flat2 in zip(tables, flats):
+                want = interchange_oracle(elements, op1, op2)
+                assert _interchange_holds_on_indices(flat1, flat2, size, quads) == want
+                outcomes.add(want)
+        assert outcomes == ({True} if size == 1 else {True, False})
+
+
+def test_scan_report_is_byte_identical(capsys):
+    # sha256 of stdout of the size-3 scan: 1, 16 and 59049 pairs checked,
+    # 1, 4 and 27 of them satisfying interchange, no counterexample
+    assert main(["eckmann-hilton", "--max-size", "3"]) == 0
+    out = capsys.readouterr().out
+    digest = "be5568336c9e68c9b9337e0c3f4cc408ddda59c1e0ae5a7b67c89fffc6300018"
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    reports = eckmann_hilton_scan(3)
+    assert [(r.pairs_checked, r.interchange_pairs) for r in reports] == [
+        (1, 1), (16, 4), (59049, 27)
+    ]

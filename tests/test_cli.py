@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ import pytest
 import homcat
 from homcat.cli import _parser, main
 from homcat.homotopy import pi1
+from homcat.setcalc import diagram_to_json
 from homcat.simplicial import horn, nerve
 from homcat.subdivision import sd
 
@@ -396,6 +398,60 @@ def test_surface_reports_are_byte_identical(tmp_path, capsys, argv, digest):
     args = [
         write(tmp_path, f"{a}.json", SURFACE_FIXTURES[a]())
         if a in SURFACE_FIXTURES else a
+        for a in argv
+    ]
+    code, out = run(capsys, *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def setcalc_diagram() -> dict:
+    """A random diagram on the free category of 0 → 1, 1 → 2 and 1 → 3
+    (nine morphisms) whose limit has three elements."""
+    shape = corpus.path_category(4, [(0, 1, "a"), (1, 2, "b"), (1, 3, "c")])
+    return diagram_to_json(corpus.random_diagram(random.Random(17), shape))
+
+
+def kan_diagram() -> dict:
+    sets = {"A": ["u", "v", "w"], "B": ["p", "q"]}
+    functions = {"f": {"u": "p", "v": "q", "w": "q"}}
+    return diagram_to_json(corpus.diagram_from_tables(corpus.walking_arrow(), sets, functions))
+
+
+def kan_functor() -> dict:
+    """The walking arrow onto 0 ≤ 2 in the chain 0 ≤ 1 ≤ 2 ≤ 3."""
+    return {
+        "v": 1,
+        "source": corpus.walking_arrow().to_json_dict(),
+        "target": corpus.poset_chain(3).to_json_dict(),
+        "objects": {"A": "0", "B": "2"},
+        "morphisms": {"f": "le02"},
+    }
+
+
+SETCALC_FIXTURES = {
+    "diagram": setcalc_diagram,
+    "bifunctor": lambda: hom_bifunctor(corpus.cyclic_group_category(4)),
+    "kan-diagram": kan_diagram,
+    "kan-functor": kan_functor,
+}
+
+# sha256 of stdout of the verbs that take limits, ends and right Kan
+# extensions; how the equalizers are cut out must not change a byte
+PINNED_SETCALC_REPORTS = [
+    (["limit", "diagram"],
+     "9eb6c68c2fc3e3e162d821db70fe96ae81a338933e8408195ed14c3a4fe7055e"),
+    (["end", "bifunctor"],
+     "4abc3ed2aeb807cc66ea4cd3a17629f69613cbfa9281fabd82da676a49bba38f"),
+    (["kan-right", "kan-diagram", "kan-functor"],
+     "1217847de4f77e49a66120e7546b82aec4b22993e00203ef741d421de5c863b2"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_SETCALC_REPORTS)
+def test_setcalc_reports_are_byte_identical(tmp_path, capsys, argv, digest):
+    args = [
+        write(tmp_path, f"{a}.json", SETCALC_FIXTURES[a]()) if a in SETCALC_FIXTURES else a
         for a in argv
     ]
     code, out = run(capsys, *args)

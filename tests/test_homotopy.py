@@ -7,6 +7,7 @@ import pytest
 
 from homcat.errors import BaseNotFound, DimensionTooLow, SchemaError
 from homcat.homotopy import (
+    _abelianized_trivial,
     _canonical_cyclic,
     GroupHomSpec,
     GroupPresentation,
@@ -469,6 +470,99 @@ def test_homspec_json():
         }
     )
     assert spec.images["c"] == (1, 1)
+
+
+def dense_abelianized_trivial(word: tuple[int, ...], pres: GroupPresentation) -> bool:
+    """The relator-image check as it ran before: the dense Smith form of the
+    whole relator matrix with both transforms, and the image vector moved by
+    the right one."""
+    gens = len(pres.generators)
+    vec = [0] * gens
+    for letter in word:
+        vec[abs(letter) - 1] += 1 if letter > 0 else -1
+    if not any(vec):
+        return True
+    if not pres.relators:
+        return False
+    matrix = []
+    for rel in pres.relators:
+        row = [0] * gens
+        for letter in rel:
+            row[abs(letter) - 1] += 1 if letter > 0 else -1
+        matrix.append(row)
+    diag, _, right = smith_normal_form(matrix)
+    moved = [
+        sum(vec[i] * right[i][j] for i in range(gens)) for j in range(gens)
+    ]
+    for j in range(gens):
+        d = diag[j][j] if j < len(matrix) else 0
+        if d == 0:
+            if moved[j] != 0:
+                return False
+        elif moved[j] % d != 0:
+            return False
+    return True
+
+
+def lattice_probes(rng, pres: GroupPresentation):
+    """Words to test against the relator lattice: integer combinations of
+    the relators (members), multiples of one generator (members exactly
+    where the torsion allows), and random words."""
+    gens = len(pres.generators)
+    combination = []
+    for rel in pres.relators:
+        k = rng.randint(-2, 2)
+        combination.extend((rel if k > 0 else invert_word(rel)) * abs(k))
+    rng.shuffle(combination)
+    g = rng.randint(1, gens)
+    return [
+        tuple(combination),
+        (g,) * rng.choice([1, 2, 3, 4, 6]),
+        tuple(rng.choice([1, -1]) * rng.randint(1, gens) for _ in range(rng.randint(1, 6))),
+        (),
+    ]
+
+
+def test_relator_image_check_matches_dense_oracle():
+    rng = random.Random(6464)
+    presentations = [
+        matrix_presentation(rng, matrix, gens) for matrix, gens in sparse_matrices(rng, 200)
+    ]
+    presentations += [GroupPresentation(["a", "b"], []), GroupPresentation(["a"], [(1, 1)])]
+    outcomes = []
+    for pres in presentations:
+        invariants = abelian_invariants(pres)
+        probes = lattice_probes(rng, pres)
+        wants = [dense_abelianized_trivial(word, pres) for word in probes]
+        for word, want in zip(probes, wants):
+            assert _abelianized_trivial([word], pres, invariants) == want, (pres, word)
+        # the words lie in the lattice together exactly when each one does
+        assert _abelianized_trivial(probes, pres, invariants) == all(wants)
+        outcomes.extend(wants)
+    assert outcomes.count(True) > 200 and outcomes.count(False) > 200
+
+
+def test_relator_image_check_on_twice_subdivided_rp2_is_fast():
+    import time
+
+    x = sd(sd(rp2_triangulation()).complex).complex
+    target = pi1(x, x.cells[0][0])
+    assert len(target.relators) == 540
+    invariants = abelian_invariants(target)  # (0, (2,))
+    gens = range(1, len(target.generators) + 1)
+    odd = next(g for g in gens if not _abelianized_trivial([(g,)], target, invariants))
+    even = next(g for g in gens if _abelianized_trivial([(g,)], target, invariants))
+    start = time.perf_counter()
+    # the identity on π₁: 540 relator images, tested together
+    identity = {name: (k + 1,) for k, name in enumerate(target.generators)}
+    GroupHomSpec(target, target, identity).validate()
+    # ⟨c | c⟩ → π₁: c may go to a generator that dies in H₁ = Z/2 ...
+    GroupHomSpec(GroupPresentation(["c"], [(1,)]), target, {"c": (even,)}).validate()
+    # ... or to any generator once c has order two, but not to one that survives
+    GroupHomSpec(GroupPresentation(["c"], [(1, 1)]), target, {"c": (odd,)}).validate()
+    with pytest.raises(SchemaError):
+        GroupHomSpec(GroupPresentation(["c"], [(1,)]), target, {"c": (odd,)}).validate()
+    assert time.perf_counter() - start < 1.0
 
 
 # -- tietze -----------------------------------------------------------------------

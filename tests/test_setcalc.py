@@ -6,7 +6,7 @@ import random
 import pytest
 
 from homcat import fincat, setcalc
-from homcat.errors import EndpointMismatch, NotUniversal
+from homcat.errors import EndpointMismatch, NotUniversal, SchemaError
 from homcat.fincat import FinFunctor, identity_functor, opposite, product_category
 from homcat.setcalc import (
     Bifunctor,
@@ -642,3 +642,126 @@ def test_terminal_object_unique_up_to_unique_iso():
     # the initial object is the empty set: exactly one map out of it
     empty = FinSetRep("0", ())
     assert FinFunction(empty, s1, {}).mapping == {}
+
+
+# -- limits and ends without the product over morphisms ----------------------
+
+
+def end_oracle(h: Bifunctor) -> list[dict[str, str]]:
+    """All wedges, found by filtering the raw product over objects:
+    families (w_X) with H(id, f)(w_dom f) = H(f, id)(w_cod f) for every f."""
+    c = h.shape
+    found = []
+    for combo in itertools.product(*(h.value(x, x).elements for x in c.objects)):
+        fam = dict(zip(c.objects, combo))
+        if all(
+            h.action(c.identity[m.src], m.name)(fam[m.src])
+            == h.action(m.name, c.identity[m.dst])(fam[m.dst])
+            for m in c.morphisms
+        ):
+            found.append(fam)
+    return found
+
+
+def same_families(cone: ConeResult, objects, oracle) -> bool:
+    """The cone's apex lists exactly the oracle's families, in its order."""
+    got = [tuple(cone.legs[y](e) for y in objects) for e in cone.apex.elements]
+    return got == [tuple(fam[y] for y in objects) for fam in oracle]
+
+
+def morphism_product_size(sets, shape) -> int:
+    size = 1
+    for m in shape.morphisms:
+        size *= len(sets(m))
+    return size
+
+
+def test_ends_match_wedges_on_random_shapes():
+    rng = random.Random(1618)
+    for _ in range(40):
+        shape = corpus.random_shape(rng)
+        pair = FinSetRep("P", ("p", "q"))
+        for h in [
+            mixed_bifunctor(
+                shape,
+                constant_diagram(opposite(shape), pair),
+                corpus.random_diagram(rng, shape),
+            ),
+            setcalc.nat_trans_bifunctor(identity_functor(shape), identity_functor(shape)),
+        ]:
+            h.validate()
+            assert same_families(end_cone(h), shape.objects, end_oracle(h))
+
+
+def chain_diagram(rng, n: int, size: int) -> Diagram:
+    """Random maps along 0 ≤ 1 ≤ ... ≤ n between sets of ``size`` elements,
+    extended to every composite."""
+    shape = corpus.poset_chain(n)
+    sets = {x: [f"{x}e{k}" for k in range(size)] for x in shape.objects}
+    steps = {
+        i: {u: rng.choice(sets[str(i + 1)]) for u in sets[str(i)]} for i in range(n)
+    }
+    functions = {}
+    for m in shape.morphisms:
+        if shape.is_identity(m.name):
+            continue
+        table = {}
+        for u in sets[m.src]:
+            v = u
+            for i in range(int(m.src), int(m.dst)):
+                v = steps[i][v]
+            table[u] = v
+        functions[m.name] = table
+    return corpus.diagram_from_tables(shape, sets, functions)
+
+
+def test_limit_and_end_never_enumerate_the_product_over_morphisms(monkeypatch):
+    import math
+    import time
+
+    def bounded_product(sets):
+        # fail at once, instead of filling memory, if ∏_f is asked for
+        assert math.prod(len(s) for s in sets) < 10**6
+        return product(sets)
+
+    monkeypatch.setattr(setcalc, "product", bounded_product)
+    d = chain_diagram(random.Random(31), 4, 4)
+    assert morphism_product_size(lambda m: d.values[m.dst].elements, d.shape) >= 10**8
+    start = time.perf_counter()
+    cone = limit(d)
+    assert time.perf_counter() - start < 0.5
+    assert same_families(cone, d.shape.objects, limit_oracle(d))
+
+    z10 = corpus.cyclic_group_category(10)
+    ident = identity_functor(z10)
+    h = setcalc.nat_trans_bifunctor(ident, ident)
+    assert morphism_product_size(lambda m: h.value(m.src, m.dst).elements, z10) >= 10**8
+    start = time.perf_counter()
+    cone = end_cone(h)
+    assert time.perf_counter() - start < 0.5
+    assert len(cone.apex) == 10  # Z/10 is abelian: every element is central
+    assert same_families(cone, z10.objects, end_oracle(h))
+
+
+def test_function_with_an_image_outside_its_target_is_rejected():
+    s = FinSetRep("S", ("a", "b"))
+    t = FinSetRep("T", ("0", "1"))
+    FinFunction(s, t, {"a": "0", "b": "1"})
+    with pytest.raises(SchemaError):
+        FinFunction(s, t, {"a": "0", "b": "2"})
+    with pytest.raises(SchemaError):
+        FinFunction(s, t, {"a": "0"})
+    with pytest.raises(SchemaError):
+        FinFunction(s, FinSetRep("E", ()), {"a": "a", "b": "b"})
+
+
+def test_limit_compares_morphism_components_as_tuples():
+    # over (g, id), the pairs (a, a,a) and (a,a, a) would both be written
+    # "(a,a,a)"; the morphism side is never written out, so nothing collides
+    d = corpus.diagram_from_tables(
+        corpus.idempotent_monoid_category(),
+        {"*": ["a", "a,a"]},
+        {"g": {"a": "a", "a,a": "a"}},
+    )
+    assert same_families(limit(d), ["*"], limit_oracle(d))
+    assert limit(d).apex.elements == ("(a)",)

@@ -20,6 +20,7 @@ from homcat.subdivision import (
     last_vertex,
     last_vertex_simplex,
     sd,
+    sd_elementary_map,
     sd_map,
     sd_simplex,
     subset_poset,
@@ -38,6 +39,39 @@ def test_sd_simplex_counts():
     assert sd_simplex(0).counts() == (1,)
     assert sd_simplex(1).counts() == (3, 2)
     assert sd_simplex(2).counts() == (7, 12, 6)
+
+
+def attempt(change) -> None:
+    """Run a mutation of a cached result; a read-only result refuses it."""
+    try:
+        change()
+    except (AttributeError, TypeError):
+        pass
+
+
+def test_cached_results_cannot_be_changed_by_a_caller():
+    x, poset, coface = sd_simplex(1), subset_poset(1), sd_elementary_map(1, "d", 0, 1)
+    before = (
+        list(x.cells[0]), dict(x.faces), list(poset.objects), dict(poset.identity),
+        dict(coface.cell_map),
+    )
+    attempt(lambda: x.cells[0].append("zz"))
+    attempt(lambda: x.cells.__setitem__(3, ["zz"]))
+    attempt(lambda: x.faces.clear())
+    attempt(lambda: poset.objects.append("zz"))
+    attempt(lambda: poset.compose_table.clear())
+    attempt(lambda: poset.identity.__setitem__("0", "zz"))
+    attempt(lambda: coface.cell_map.clear())
+    x, poset, coface = sd_simplex(1), subset_poset(1), sd_elementary_map(1, "d", 0, 1)
+    after = (
+        list(x.cells[0]), dict(x.faces), list(poset.objects), dict(poset.identity),
+        dict(coface.cell_map),
+    )
+    assert after == before
+    assert sd_simplex(1).counts() == (3, 2) and 3 not in sd_simplex(1).cells
+    assert len(subset_poset(1).compose_table) == len(poset.compose_table) > 0
+    # the shared results still do their work
+    assert sd(standard_simplex(1, 1)).complex.counts() == (3, 2)
 
 
 def test_sd_general_matches_poset_nerve_on_standard_simplices():
