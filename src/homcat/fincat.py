@@ -49,6 +49,9 @@ class FinCategory:
     def __post_init__(self):
         if not self._mor_by_name:
             self._mor_by_name = {m.name: m for m in self.morphisms}
+        self._hom: dict[tuple[str, str], list[str]] = {}
+        for m in self.morphisms:
+            self._hom.setdefault((m.src, m.dst), []).append(m.name)
 
     # -- basic queries ----------------------------------------------------
 
@@ -70,7 +73,8 @@ class FinCategory:
         return self.identity.get(m.src) == name
 
     def hom(self, x: str, y: str) -> list[str]:
-        return [m.name for m in self.morphisms if m.src == x and m.dst == y]
+        """Morphisms x → y in input order, as a fresh list."""
+        return list(self._hom.get((x, y), ()))
 
     def composable_pairs(self):
         """Yield (g, f) with dst(f) = src(g), in deterministic order."""
@@ -289,21 +293,44 @@ def product_category(c: FinCategory, d: FinCategory) -> FinCategory:
     return FinCategory(objects, mors, table, identity)
 
 
-def quotient(elements, pairs) -> dict:
-    """Smallest equivalence on ``elements`` containing ``pairs``, sending
-    each element to the least member of its class (union-find)."""
-    parent = {x: x for x in elements}
+class UnionFind:
+    """Incremental union-find with path halving.  The root of a merge is
+    the lesser root, so :meth:`find` returns the least member of a class."""
 
-    def find(x):
+    def __init__(self, elements=()):
+        self.parent = {x: x for x in elements}
+
+    def add(self, x) -> None:
+        self.parent.setdefault(x, x)
+
+    def find(self, x):
+        parent = self.parent
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
+    def union(self, a, b) -> None:
+        parent = self.parent
+        # the loop of find, inlined: union is the hot call of every quotient
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+
+
+def quotient(elements, pairs) -> dict:
+    """Smallest equivalence on ``elements`` containing ``pairs``, sending
+    each element to the least member of its class."""
+    classes = UnionFind(elements)
+    union = classes.union
     for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
+        union(a, b)
+    find = classes.find
     return {x: find(x) for x in elements}
 
 

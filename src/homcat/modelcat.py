@@ -1,10 +1,13 @@
 """Weak equivalences, zig-zag localization, lifting, and model axioms.
 
 Localization works over a bounded universe of composable letter words
-(forward morphisms and formal inverses of marked ones).  Local rewrites
-never lengthen a word, so congruence closure inside the universe is a
-union-find over single rewrite steps; the universe grows until the class
-structure is stable or the cap is hit.  Whether the result really is the
+(forward morphisms and formal inverses of marked ones), interned as
+integers with the rewrites of every letter pair tabulated once.  Local
+rewrites never lengthen a word, so congruence closure inside the universe
+is a union-find over single rewrite steps, and a word's rewrites are the
+same at every bound: the universe and its union-find are grown once, one
+word length at a time, until the class structure is stable or the cap is
+hit.  Whether the result really is the
 localization is then re-checked behaviorally: the projection must send
 marked morphisms to isomorphisms, and the test-suite verifies the
 universal property by functor enumeration on the corpus.
@@ -13,9 +16,10 @@ universal property by functor enumeration on the corpus.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import CapExceeded, SchemaError
-from .fincat import FinCategory, FinFunctor, Mor, partition
+from .fincat import FinCategory, FinFunctor, Mor, UnionFind
 
 
 # -- marked categories -------------------------------------------------------
@@ -48,8 +52,9 @@ class MarkedCategory:
     weq: frozenset[str]
 
     def validate(self) -> None:
+        names = {m.name for m in self.base.morphisms}
         for name in self.weq:
-            if name not in {m.name for m in self.base.morphisms}:
+            if name not in names:
                 raise SchemaError(f"marked morphism {name!r} not in the category")
         for m in self.base.morphisms:
             if self.base.is_iso(m.name) and m.name not in self.weq:
@@ -68,39 +73,80 @@ def _letter_endpoints(cat: FinCategory, letter: tuple[str, str]) -> tuple[str, s
     return cat.dst(name), cat.src(name)
 
 
-def _word_endpoints(cat: FinCategory, word: tuple) -> tuple[str, str]:
-    return _letter_endpoints(cat, word[0])[0], _letter_endpoints(cat, word[-1])[1]
+@dataclass
+class _Letters:
+    """Integer letter tables of one localization.
+
+    Letter ``a`` is ``pairs[a]``, the ``a``-th ``(kind, name)`` pair in
+    sorted order, so comparing integer words compares the words of pairs.
+    The formal inverses ``("i", name)`` sort first: letter ``a`` is one
+    exactly when ``a < n_inverse``.
+    """
+
+    pairs: list[tuple[str, str]]
+    n_inverse: int
+    src: list[str]
+    dst: list[str]
+    follow: list[list[int]]  # the letters that may follow each letter
+    pair: dict[tuple[int, int], int]  # a two-letter factor's one-letter rewrite
+    identity: list[bool]
+    swap: list[int | None]  # the forward letter equal to a formal inverse
 
 
-def _rewrites(cat: FinCategory, weq: frozenset, word: tuple):
-    """All single-step reductions of a word; none of them lengthen it."""
-    n = len(word)
-    for k in range(n - 1):
-        (k1, n1), (k2, n2) = word[k], word[k + 1]
-        if k1 == "m" and k2 == "m":
-            # diagrammatic order: first n1 then n2 is the composite n2∘n1
-            yield word[:k] + (("m", cat.compose(n2, n1)),) + word[k + 2:]
-        elif k1 == "m" and k2 == "i" and n1 == n2:
-            yield word[:k] + (("m", cat.identity[cat.src(n1)]),) + word[k + 2:]
-        elif k1 == "i" and k2 == "m" and n1 == n2:
-            yield word[:k] + (("m", cat.identity[cat.dst(n1)]),) + word[k + 2:]
-        elif k1 == "i" and k2 == "i":
-            # first n1⁻¹ then n2⁻¹ equals (n1∘n2)⁻¹ when that composite exists
-            if cat.dst(n2) == cat.src(n1):
+def _letter_tables(cat: FinCategory, weq: frozenset) -> _Letters:
+    pairs = sorted(
+        [("m", m.name) for m in cat.morphisms] + [("i", name) for name in weq]
+    )
+    letter = {p: a for a, p in enumerate(pairs)}
+    ends = [_letter_endpoints(cat, p) for p in pairs]
+    follow = [
+        [b for b in range(len(pairs)) if ends[b][0] == end] for _, end in ends
+    ]
+    pair = {}
+    for a, (k1, n1) in enumerate(pairs):
+        for b in follow[a]:
+            k2, n2 = pairs[b]
+            if k1 == "m" and k2 == "m":
+                # diagrammatic order: first n1 then n2 is the composite n2∘n1
+                pair[a, b] = letter["m", cat.compose(n2, n1)]
+            elif k1 == "m" and k2 == "i" and n1 == n2:
+                pair[a, b] = letter["m", cat.identity[cat.src(n1)]]
+            elif k1 == "i" and k2 == "m" and n1 == n2:
+                pair[a, b] = letter["m", cat.identity[cat.dst(n1)]]
+            elif k1 == "i" and k2 == "i":
+                # first n1⁻¹ then n2⁻¹ is (n1∘n2)⁻¹ when that composite is in W
                 composite = cat.compose(n1, n2)
                 if composite in weq:
-                    yield word[:k] + (("i", composite),) + word[k + 2:]
-    if n >= 2:
-        for k in range(n):
-            kind, name = word[k]
-            if kind == "m" and cat.is_identity(name):
-                yield word[:k] + word[k + 1:]
-    for k in range(n):
-        kind, name = word[k]
-        if kind == "i":
-            inv = cat.inverse(name)
-            if inv is not None:
-                yield word[:k] + (("m", inv),) + word[k + 1:]
+                    pair[a, b] = letter["i", composite]
+    swap = []
+    for kind, name in pairs:
+        inv = cat.inverse(name) if kind == "i" else None
+        swap.append(None if inv is None else letter["m", inv])
+    return _Letters(
+        pairs,
+        len(weq),
+        [src for src, _ in ends],
+        [dst for _, dst in ends],
+        follow,
+        pair,
+        [kind == "m" and cat.is_identity(name) for kind, name in pairs],
+        swap,
+    )
+
+
+def _rewrites(t: _Letters, word: tuple):
+    """All single-step reductions of a word; none of them lengthen it."""
+    pair = t.pair
+    for k in range(len(word) - 1):
+        c = pair.get((word[k], word[k + 1]))
+        if c is not None:
+            yield word[:k] + (c,) + word[k + 2:]
+    for k, a in enumerate(word):
+        if t.identity[a] and len(word) >= 2:
+            yield word[:k] + word[k + 1:]
+        b = t.swap[a]
+        if b is not None:
+            yield word[:k] + (b,) + word[k + 1:]
 
 
 def _letter_label(letter: tuple[str, str]) -> str:
@@ -108,8 +154,8 @@ def _letter_label(letter: tuple[str, str]) -> str:
     return name if kind == "m" else f"{name}^-1"
 
 
-def _word_label(word: tuple) -> str:
-    return "*".join(_letter_label(l) for l in word)
+def _word_label(t: _Letters, word: tuple) -> str:
+    return "*".join(_letter_label(t.pairs[a]) for a in word)
 
 
 @dataclass
@@ -122,106 +168,121 @@ class Localization:
 def localize(marked: MarkedCategory, cap: int = 20000) -> Localization:
     """Adjoin formal inverses for the marked morphisms.
 
+    The universe of composable words up to length L = 4, 6, ... is grown
+    once per call: the words of each new length are numbered in
+    representative order (shortest, then fewest formal inverses, then
+    lexicographic), added to one union-find and joined to their
+    rewrites, so the least member of a class is its representative.  The
+    words of lengths up to L/2 give a candidate category; L stops growing
+    when a candidate agrees with the last one found.
+
     Raises :class:`CapExceeded` when the word universe outgrows ``cap``
-    before the class structure stabilizes.
+    before the class structure stabilizes, or when L passes 40; the
+    payload names the ``universe`` size and the ``word_length`` L reached.
     """
     cat = marked.base
     weq = marked.weq
-    letters = [("m", m.name) for m in cat.morphisms] + [
-        ("i", name) for name in sorted(weq)
-    ]
+    t = _letter_tables(cat, weq)
+    words: list[tuple] = []  # word id -> word, in representative order
+    index: dict[tuple, int] = {}
+    classes = UnionFind()
+    find = classes.find
+    upto = [0]  # upto[k]: the number of words of length at most k
+    # the longest words so far, in lexicographic order, with inverse counts
+    level: list[tuple[tuple, int]] = []
 
-    def closure(max_len: int):
-        universe: set[tuple] = set()
-        frontier = [(l,) for l in letters]
-        universe.update(frontier)
-        while frontier:
-            if len(universe) > cap:
-                raise CapExceeded(
-                    "localization word universe exceeded the cap", cap=cap
-                )
-            new = []
-            for word in frontier:
-                if len(word) == max_len:
-                    continue
-                end = _letter_endpoints(cat, word[-1])[1]
-                for l in letters:
-                    if _letter_endpoints(cat, l)[0] == end:
-                        extended = word + (l,)
-                        if extended not in universe:
-                            universe.add(extended)
-                            new.append(extended)
-            frontier = new
-        blocks = partition(
-            universe,
-            ((word, other)
-             for word in universe
-             for other in _rewrites(cat, weq, word)),
-        )
-        rep_of = {}
-        for members in blocks:
-            # shortest first; prefer plain letters over formal inverses so
-            # classes of ordinary morphisms keep their ordinary names
-            rep = min(
-                members,
-                key=lambda w: (len(w), sum(k == "i" for k, _ in w), w),
-            )
-            for w in members:
-                rep_of[w] = rep
-        return rep_of
+    def grow(max_len: int) -> None:
+        nonlocal level
+        start = len(words)
+        for length in range(len(upto), max_len + 1):
+            if length == 1:
+                level = [((a,), int(a < t.n_inverse)) for a in range(len(t.pairs))]
+            else:
+                level = [
+                    (word + (b,), inverses + (b < t.n_inverse))
+                    for word, inverses in level
+                    for b in t.follow[word[-1]]
+                ]
+            if level:
+                # fewest formal inverses first, so that classes of ordinary
+                # morphisms keep their ordinary names
+                for word, _ in sorted(level, key=itemgetter(1)):
+                    index[word] = len(words)
+                    classes.add(len(words))
+                    words.append(word)
+                if len(words) > cap:
+                    raise CapExceeded(
+                        "localization word universe exceeded the cap",
+                        cap=cap,
+                        universe=len(words),
+                        word_length=max_len,
+                    )
+            upto.append(len(words))
+        # a rewrite never lengthens a word, so the edges of the new words
+        # are complete now, and no later length adds to them
+        union = classes.union
+        for w in range(start, len(words)):
+            for other in _rewrites(t, words[w]):
+                union(w, index[other])
 
-    def structure(rep_of, half: int):
+    def structure(half: int):
         reps = sorted(
-            {r for r in rep_of.values() if len(r) <= half},
-            key=lambda w: (len(w), w),
+            (r for r in range(upto[half]) if find(r) == r),
+            key=lambda r: (len(words[r]), words[r]),
         )
+        rep_set = set(reps)
         table = {}
         for u in reps:
+            end = t.dst[words[u][-1]]
             for v in reps:
-                if _word_endpoints(cat, u)[1] == _word_endpoints(cat, v)[0]:
-                    product = rep_of.get(u + v)
-                    if product is None or product not in reps:
+                if t.src[words[v][0]] == end:
+                    product = find(index[words[u] + words[v]])
+                    if product not in rep_set:
                         return None
                     table[(u, v)] = product
         return reps, table
 
     max_len, previous = 4, None
     while True:
-        rep_of = closure(max_len)
-        current = structure(rep_of, max_len // 2)
+        grow(max_len)
+        current = structure(max_len // 2)
         if current is not None and previous is not None and current == previous:
             break
-        if max_len > 2 and current is not None:
+        if current is not None:
             previous = current
         max_len += 2
         if max_len > 40:
             raise CapExceeded(
-                "localization did not stabilize within word length 40", cap=cap
+                "localization did not stabilize within word length 40",
+                cap=cap,
+                universe=len(words),
+                word_length=40,
             )
 
     reps, table = current
+
+    def rep_of(kind: str, name: str) -> int:
+        return find(index[(t.pairs.index((kind, name)),)])
+
     names = {}
     for x in cat.objects:
-        names[rep_of[(("m", cat.identity[x]),)]] = f"id_{x}"
+        names[rep_of("m", cat.identity[x])] = f"id_{x}"
     for rep in reps:
-        names.setdefault(rep, _word_label(rep))
+        names.setdefault(rep, _word_label(t, words[rep]))
     morphisms = [
-        Mor(names[rep], *_word_endpoints(cat, rep)) for rep in reps
+        Mor(names[rep], t.src[words[rep][0]], t.dst[words[rep][-1]]) for rep in reps
     ]
     compose_table = {
         (names[v], names[u]): names[w] for (u, v), w in table.items()
     }
-    identity = {}
-    for x in cat.objects:
-        rep = rep_of[(("m", cat.identity[x]),)]
-        identity[x] = names[rep]
+    identity = {x: names[rep_of("m", cat.identity[x])] for x in cat.objects}
     localized = FinCategory(list(cat.objects), morphisms, compose_table, identity)
     localized.validate()
     projection = FinFunctor(
         cat,
         localized,
         {x: x for x in cat.objects},
-        {m.name: names[rep_of[(("m", m.name),)]] for m in cat.morphisms},
+        {m.name: names[rep_of("m", m.name)] for m in cat.morphisms},
     )
     projection.validate()
     result = Localization(localized, projection, marked)
@@ -231,6 +292,8 @@ def localize(marked: MarkedCategory, cap: int = 20000) -> Localization:
                 f"projection of marked morphism {name!r} is not invertible; "
                 "the universe was too small",
                 cap=cap,
+                universe=len(words),
+                word_length=max_len,
             )
     return result
 

@@ -556,6 +556,22 @@ def test_localize_verb(tmp_path, capsys):
     assert json.loads(out)["error"] == "CapExceeded"
 
 
+def test_localize_cap_report_says_where_it_tripped(tmp_path, capsys):
+    arrow = category_file(tmp_path, corpus.walking_arrow())
+    code, out = run(capsys, "localize", arrow, "--weq", "f", "--cap", "3")
+    assert code == 1
+    report = json.loads(out)
+    assert (report["cap"], report["universe"], report["word_length"]) == (3, 6, 4)
+    assert run(capsys, "localize", arrow, "--weq", "f", "--cap", "3") == (code, out)
+    pair = category_file(tmp_path, corpus.parallel_pair(), "pair.json")
+    code, out = run(capsys, "localize", pair, "--weq", "a")
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"] == "CapExceeded"
+    assert (report["cap"], report["word_length"]) == (20000, 8)
+    assert report["universe"] > 20000
+
+
 def test_model_check_verb(tmp_path, capsys):
     cat = corpus.walking_iso()
     names = [m.name for m in cat.morphisms]

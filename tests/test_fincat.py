@@ -24,6 +24,7 @@ from homcat.fincat import (
     partition,
     product_category,
     quotient,
+    UnionFind,
     validate_category,
     yoneda_check,
 )
@@ -280,6 +281,44 @@ def test_quotient_matches_reachability_closure():
         for x in elements:
             blocks.setdefault(least[x], []).append(x)
         assert partition(elements, pairs) == list(blocks.values())
+        # grown one pair at a time, each element added on first sight
+        classes = UnionFind()
+        for a, b in pairs:
+            classes.add(a)
+            classes.add(b)
+            classes.union(a, b)
+        for x in elements:
+            classes.add(x)
+            assert classes.find(x) == least[x]
+
+
+def corpus_categories():
+    rng = random.Random(11)
+    cats = [
+        corpus.terminal_category(),
+        corpus.walking_arrow(),
+        corpus.walking_iso(),
+        corpus.discrete(3),
+        corpus.poset_chain(3),
+        corpus.parallel_pair(),
+        corpus.cyclic_group_category(4),
+        corpus.idempotent_monoid_category(),
+        corpus.chaotic_groupoid(["a", "b", "c"]),
+        corpus.path_category(3, [(0, 1, "p"), (0, 1, "q"), (1, 2, "r"), (0, 2, "s")]),
+        product_category(corpus.walking_arrow(), corpus.parallel_pair()),
+    ] + [corpus.random_shape(rng) for _ in range(20)]
+    return cats + [opposite(cat) for cat in cats]
+
+
+def test_hom_index_matches_linear_scan():
+    for cat in corpus_categories():
+        for x in cat.objects + ["not an object"]:
+            for y in cat.objects:
+                scan = [m.name for m in cat.morphisms if m.src == x and m.dst == y]
+                got = cat.hom(x, y)
+                assert got == scan
+                got.append("zz")  # a caller's change does not reach the index
+                assert cat.hom(x, y) == scan
 
 
 def test_nat_trans_identity_on_terminal():

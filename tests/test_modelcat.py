@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
+from homcat import modelcat
 from homcat.errors import CapExceeded, SchemaError
-from homcat.fincat import enumerate_functors
+from homcat.fincat import FinCategory, FinFunctor, Mor, enumerate_functors, partition
 from homcat.modelcat import (
+    Localization,
     MarkedCategory,
     ModelData,
     check_model,
@@ -147,6 +151,290 @@ def test_localized_category_serializes_and_reloads():
     assert len(again.morphisms) == 4
     assert again.is_iso("f") and again.is_iso("f^-1")
     assert again.compose("f^-1", "f") == "id_A"
+
+
+# -- localization against the string-word oracle ---------------------------------
+#
+# The oracle is the localization as it was before words were interned as
+# integers: it rebuilds the whole universe and its partition at every word
+# length and rewrites (kind, name) words through the category.
+
+
+def _letter_endpoints(cat: FinCategory, letter: tuple[str, str]) -> tuple[str, str]:
+    kind, name = letter
+    if kind == "m":
+        return cat.src(name), cat.dst(name)
+    return cat.dst(name), cat.src(name)
+
+
+def _word_endpoints(cat: FinCategory, word: tuple) -> tuple[str, str]:
+    return _letter_endpoints(cat, word[0])[0], _letter_endpoints(cat, word[-1])[1]
+
+
+def _rewrites(cat: FinCategory, weq: frozenset, word: tuple):
+    """All single-step reductions of a word; none of them lengthen it."""
+    n = len(word)
+    for k in range(n - 1):
+        (k1, n1), (k2, n2) = word[k], word[k + 1]
+        if k1 == "m" and k2 == "m":
+            # diagrammatic order: first n1 then n2 is the composite n2∘n1
+            yield word[:k] + (("m", cat.compose(n2, n1)),) + word[k + 2:]
+        elif k1 == "m" and k2 == "i" and n1 == n2:
+            yield word[:k] + (("m", cat.identity[cat.src(n1)]),) + word[k + 2:]
+        elif k1 == "i" and k2 == "m" and n1 == n2:
+            yield word[:k] + (("m", cat.identity[cat.dst(n1)]),) + word[k + 2:]
+        elif k1 == "i" and k2 == "i":
+            # first n1⁻¹ then n2⁻¹ equals (n1∘n2)⁻¹ when that composite exists
+            if cat.dst(n2) == cat.src(n1):
+                composite = cat.compose(n1, n2)
+                if composite in weq:
+                    yield word[:k] + (("i", composite),) + word[k + 2:]
+    if n >= 2:
+        for k in range(n):
+            kind, name = word[k]
+            if kind == "m" and cat.is_identity(name):
+                yield word[:k] + word[k + 1:]
+    for k in range(n):
+        kind, name = word[k]
+        if kind == "i":
+            inv = cat.inverse(name)
+            if inv is not None:
+                yield word[:k] + (("m", inv),) + word[k + 1:]
+
+
+def _letter_label(letter: tuple[str, str]) -> str:
+    kind, name = letter
+    return name if kind == "m" else f"{name}^-1"
+
+
+def _word_label(word: tuple) -> str:
+    return "*".join(_letter_label(l) for l in word)
+
+
+def oracle_localize(marked: MarkedCategory, cap: int = 20000) -> Localization:
+    """Adjoin formal inverses for the marked morphisms.
+
+    Raises :class:`CapExceeded` when the word universe outgrows ``cap``
+    before the class structure stabilizes.
+    """
+    cat = marked.base
+    weq = marked.weq
+    letters = [("m", m.name) for m in cat.morphisms] + [
+        ("i", name) for name in sorted(weq)
+    ]
+
+    def closure(max_len: int):
+        universe: set[tuple] = set()
+        frontier = [(l,) for l in letters]
+        universe.update(frontier)
+        while frontier:
+            if len(universe) > cap:
+                raise CapExceeded(
+                    "localization word universe exceeded the cap", cap=cap
+                )
+            new = []
+            for word in frontier:
+                if len(word) == max_len:
+                    continue
+                end = _letter_endpoints(cat, word[-1])[1]
+                for l in letters:
+                    if _letter_endpoints(cat, l)[0] == end:
+                        extended = word + (l,)
+                        if extended not in universe:
+                            universe.add(extended)
+                            new.append(extended)
+            frontier = new
+        blocks = partition(
+            universe,
+            ((word, other)
+             for word in universe
+             for other in _rewrites(cat, weq, word)),
+        )
+        rep_of = {}
+        for members in blocks:
+            # shortest first; prefer plain letters over formal inverses so
+            # classes of ordinary morphisms keep their ordinary names
+            rep = min(
+                members,
+                key=lambda w: (len(w), sum(k == "i" for k, _ in w), w),
+            )
+            for w in members:
+                rep_of[w] = rep
+        return rep_of
+
+    def structure(rep_of, half: int):
+        reps = sorted(
+            {r for r in rep_of.values() if len(r) <= half},
+            key=lambda w: (len(w), w),
+        )
+        table = {}
+        for u in reps:
+            for v in reps:
+                if _word_endpoints(cat, u)[1] == _word_endpoints(cat, v)[0]:
+                    product = rep_of.get(u + v)
+                    if product is None or product not in reps:
+                        return None
+                    table[(u, v)] = product
+        return reps, table
+
+    max_len, previous = 4, None
+    while True:
+        rep_of = closure(max_len)
+        current = structure(rep_of, max_len // 2)
+        if current is not None and previous is not None and current == previous:
+            break
+        if max_len > 2 and current is not None:
+            previous = current
+        max_len += 2
+        if max_len > 40:
+            raise CapExceeded(
+                "localization did not stabilize within word length 40", cap=cap
+            )
+
+    reps, table = current
+    names = {}
+    for x in cat.objects:
+        names[rep_of[(("m", cat.identity[x]),)]] = f"id_{x}"
+    for rep in reps:
+        names.setdefault(rep, _word_label(rep))
+    morphisms = [
+        Mor(names[rep], *_word_endpoints(cat, rep)) for rep in reps
+    ]
+    compose_table = {
+        (names[v], names[u]): names[w] for (u, v), w in table.items()
+    }
+    identity = {}
+    for x in cat.objects:
+        rep = rep_of[(("m", cat.identity[x]),)]
+        identity[x] = names[rep]
+    localized = FinCategory(list(cat.objects), morphisms, compose_table, identity)
+    localized.validate()
+    projection = FinFunctor(
+        cat,
+        localized,
+        {x: x for x in cat.objects},
+        {m.name: names[rep_of[(("m", m.name),)]] for m in cat.morphisms},
+    )
+    projection.validate()
+    result = Localization(localized, projection, marked)
+    for name in weq:
+        if not localized.is_iso(projection.on_mor(name)):
+            raise CapExceeded(
+                f"projection of marked morphism {name!r} is not invertible; "
+                "the universe was too small",
+                cap=cap,
+            )
+    return result
+
+
+def small_marked_categories():
+    """Every corpus category with at most 4 morphisms, with every seed
+    subset of its non-identity morphisms, one case per marked class."""
+    cats = [
+        corpus.terminal_category(),
+        corpus.walking_arrow(),
+        corpus.walking_iso(),
+        corpus.discrete(2),
+        corpus.discrete(4),
+        corpus.poset_chain(1),
+        corpus.parallel_pair(),
+        corpus.cyclic_group_category(2),
+        corpus.cyclic_group_category(3),
+        corpus.cyclic_group_category(4),
+        corpus.idempotent_monoid_category(),
+        corpus.chaotic_groupoid(["a", "b"]),
+    ]
+    for cat in cats:
+        assert len(cat.morphisms) <= 4
+        nonid = [m.name for m in cat.morphisms if not cat.is_identity(m.name)]
+        seen = set()
+        for r in range(len(nonid) + 1):
+            for seed in itertools.combinations(nonid, r):
+                marked = saturate_two_of_three(cat, seed)
+                if marked.weq not in seen:
+                    seen.add(marked.weq)
+                    yield marked
+
+
+def localization_outcome(localizer, marked, cap):
+    try:
+        result = localizer(marked, cap=cap)
+    except CapExceeded as exc:
+        return ("CapExceeded", exc.message)
+    category = result.category
+    return (
+        category.to_json_dict(),
+        [(m.name, m.src, m.dst) for m in category.morphisms],
+        category.identity,
+        result.projection.object_map,
+        result.projection.morphism_map,
+    )
+
+
+def test_localize_matches_string_word_oracle():
+    outcomes = set()
+    for marked in small_marked_categories():
+        for cap in (20000, 3, 30, 300, 3000):
+            want = localization_outcome(oracle_localize, marked, cap)
+            assert localization_outcome(localize, marked, cap) == want
+            outcomes.add(want[0] if want[0] == "CapExceeded" else "category")
+    assert outcomes == {"CapExceeded", "category"}
+
+
+def count_words(marked: MarkedCategory, max_len: int) -> int:
+    """Composable words of morphisms and formal inverses of marked ones, of
+    lengths 1 to ``max_len``, counted by endpoints."""
+    cat = marked.base
+    letters = [(m.src, m.dst) for m in cat.morphisms]
+    letters += [(cat.dst(name), cat.src(name)) for name in marked.weq]
+    ending = {x: 0 for x in cat.objects}  # words of the current length, by end
+    for _, dst in letters:
+        ending[dst] += 1
+    total = sum(ending.values())
+    for _ in range(max_len - 1):
+        after = {x: 0 for x in cat.objects}
+        for src, dst in letters:
+            after[dst] += ending[src]
+        ending = after
+        total += sum(ending.values())
+    return total
+
+
+def test_localize_rewrites_each_word_once(monkeypatch):
+    rewritten = []
+    original = modelcat._rewrites
+
+    def counting(*args):
+        rewritten.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(modelcat, "_rewrites", counting)
+    for marked in [
+        walking_weak_equivalence(),
+        saturate_two_of_three(corpus.poset_chain(2), ["le01"]),
+        saturate_two_of_three(corpus.walking_iso(), []),
+    ]:
+        rewritten.clear()
+        localize(marked)
+        longest = max(len(word) for word in rewritten)
+        assert len(set(rewritten)) == len(rewritten)
+        assert len(rewritten) == count_words(marked, longest)
+
+
+def test_localize_cap_says_where_it_tripped():
+    with pytest.raises(CapExceeded) as small:
+        localize(walking_weak_equivalence(), cap=3)
+    # six letters: f, id_A, id_B and their formal inverses
+    assert small.value.payload == {"cap": 3, "universe": 6, "word_length": 4}
+    marked = saturate_two_of_three(corpus.parallel_pair(), ["a"])
+    with pytest.raises(CapExceeded) as infinite:
+        localize(marked)
+    # the localization is infinite (a⁻¹∘b has infinite order): the words
+    # up to length 7 fit in the cap, those up to length 8 do not
+    assert count_words(marked, 7) <= 20000 < count_words(marked, 8)
+    assert infinite.value.payload == {
+        "cap": 20000, "universe": count_words(marked, 8), "word_length": 8,
+    }
 
 
 # -- lifting -----------------------------------------------------------------------
