@@ -10,6 +10,7 @@ normal form (with tracked unimodular transforms) of what is left.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import (
@@ -471,6 +472,21 @@ class _Relator:
         self.letters = frozenset(counts)  # the generators it uses
 
 
+def _substitute(
+    word: tuple[int, ...], g_abs: int, image: tuple[int, ...], inverse: tuple[int, ...]
+) -> tuple[int, ...]:
+    """``word`` with generator ``g_abs`` replaced by ``image``, freely reduced."""
+    out: list[int] = []
+    for letter in word:
+        if letter == g_abs:
+            out.extend(image)
+        elif letter == -g_abs:
+            out.extend(inverse)
+        else:
+            out.append(letter)
+    return free_reduce(tuple(out))
+
+
 def tietze_simplify(pres: GroupPresentation, budget: int = 100) -> GroupPresentation:
     """Sound presentation cleanup within a move budget.
 
@@ -478,11 +494,14 @@ def tietze_simplify(pres: GroupPresentation, budget: int = 100) -> GroupPresenta
     and eliminating a generator that occurs exactly once in some relator.
     The isomorphism class of the group never changes.
 
-    Relators keep the input's generator numbers until the end, so a word
-    that a move leaves alone stays the same tuple, and what the loop asks
-    of it is looked up, not worked out again.  None of it depends on the
-    numbering: two words get equal keys iff they have the same rotations
-    of themselves and their inverses.
+    Each relator keeps its slot (``None`` once dropped) and the input's
+    generator numbers until the end.  A dedup move keeps the first slot of
+    every key held twice; otherwise the least slot with a lone generator
+    is the victim, and its elimination rewrites only the slots that use
+    that generator.  Three indexes say where to look: the slots using each
+    generator, the live slots of each dedup key (two words get equal keys
+    iff they have the same rotations of themselves and their inverses),
+    and a heap of the slots that had a lone generator, checked lazily.
     """
     memo: dict[tuple[int, ...], _Relator] = {}
 
@@ -493,59 +512,72 @@ def tietze_simplify(pres: GroupPresentation, budget: int = 100) -> GroupPresenta
             memo[w] = memo[got.reduced] = got
         return got
 
+    slots: list[tuple[int, ...] | None] = [None] * len(pres.relators)
+    occurs: dict[int, set[int]] = {}
+    holders: dict[tuple[int, ...], set[int]] = {}
+    twice: set[tuple[int, ...]] = set()
+    lone: list[int] = []
+
+    def drop(k: int) -> None:
+        rel = info(slots[k])
+        slots[k] = None
+        for g in rel.letters:
+            occurs[g].discard(k)
+        held = holders[rel.key]
+        held.discard(k)
+        if len(held) < 2:
+            twice.discard(rel.key)
+
+    def put(k: int, word: tuple[int, ...]) -> None:
+        rel = info(word)
+        if not rel.reduced:
+            return
+        slots[k] = rel.reduced
+        for g in rel.letters:
+            occurs.setdefault(g, set()).add(k)
+        held = holders.setdefault(rel.key, set())
+        held.add(k)
+        if len(held) > 1:
+            twice.add(rel.key)
+        if rel.lone is not None:
+            heapq.heappush(lone, k)
+
+    for k, word in enumerate(pres.relators):
+        put(k, word)
     eliminated: set[int] = set()
-    rels = [info(w).reduced for w in pres.relators]
     moves = 0
-    changed = True
-    while changed and moves < budget:
-        changed = False
-        rels = [r for r in (info(w).reduced for w in rels) if r]
-        seen = {}
-        for w in rels:
-            seen.setdefault(info(w).key, w)
-        if len(seen) != len(rels):
-            rels = list(seen.values())
-            changed = True
-            moves += 1
+    while moves < budget:
+        moves += 1
+        if twice:
+            for key in list(twice):
+                for k in sorted(holders[key])[1:]:
+                    drop(k)
             continue
-        victim = next(
-            ((r_idx, word) for r_idx, word in enumerate(rels)
-             if info(word).lone is not None),
-            None,
-        )
-        if victim is None:
+        while lone and (slots[lone[0]] is None or info(slots[lone[0]]).lone is None):
+            heapq.heappop(lone)
+        if not lone:
             break
-        r_idx, word = victim
+        word = slots[lone[0]]
         g_abs = info(word).lone
         pos = next(k for k, letter in enumerate(word) if abs(letter) == g_abs)
         # word = u g^e v  =>  g^e = u^{-1} v^{-1}, g = (v u)^{-e}
         u, e, v = word[:pos], word[pos], word[pos + 1:]
         replacement = invert_word(v + u) if e > 0 else (v + u)
         inverse = invert_word(replacement)
-
-        def substitute(w: tuple[int, ...]) -> tuple[int, ...]:
-            if g_abs not in info(w).letters:
-                return w  # already free reduced, so nothing changes
-            out: list[int] = []
-            for letter in w:
-                if abs(letter) == g_abs:
-                    out.extend(replacement if letter > 0 else inverse)
-                else:
-                    out.append(letter)
-            return free_reduce(tuple(out))
-
-        rels = [substitute(w) for k, w in enumerate(rels) if k != r_idx]
+        drop(lone[0])
+        for k in sorted(occurs[g_abs]):
+            rewritten = _substitute(slots[k], g_abs, replacement, inverse)
+            drop(k)
+            put(k, rewritten)
         eliminated.add(g_abs)
-        moves += 1
-        changed = True
     kept = [k for k in range(1, len(pres.generators) + 1) if k not in eliminated]
     number = {k: n for n, k in enumerate(kept, 1)}
     out = GroupPresentation(
         [pres.generators[k - 1] for k in kept],
         [
             tuple(number[letter] if letter > 0 else -number[-letter] for letter in r)
-            for r in (info(w).reduced for w in rels)
-            if r
+            for r in slots
+            if r is not None
         ],
     )
     out.validate()

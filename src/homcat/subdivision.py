@@ -1,23 +1,25 @@
 """Barycentric subdivision, its right adjoint Ex, and finite Ex iteration.
 
 sd(Δⁿ) is the nerve of the poset of nonempty subsets of [n].  For a general
-complex, sd is glued levelwise: the cells at level m are classes of pairs
-(total a-cell of X, total m-cell of sd(Δᵃ)) under the relations generated by
-the elementary ordinal maps, computed with union-find.  Ex(X) is built the
-other way around: its n-cells are the simplicial maps sd(Δⁿ) → X, with
-operators given by precomposition.
+complex, sd(X) is read off the Eilenberg–Zilber normal forms of the
+colimit of the sd(Δᵃ): a nondegenerate m-cell is a nondegenerate a-cell of
+X beside a strict chain of subsets of [a] topped by [a].  Ex(X) is built
+the other way around: its n-cells are the simplicial maps sd(Δⁿ) → X, with
+operators given by precomposition, glued levelwise in a
+:class:`LevelwiseSSet`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 from types import MappingProxyType
 
 from .errors import BudgetExceeded, DEFAULT_HORN_BUDGET, SchemaError
 from .fincat import FinCategory, FinFunctor, validate_category
-from .fincat import quotient as _union_find  # perfbench/tracing.py wraps this name
+# an alias that nothing here calls any more; perfbench/tracing.py looks it up
+from .fincat import quotient as _union_find  # noqa: F401
 from .simplicial import (
     CellRef,
     DeltaMap,
@@ -29,7 +31,6 @@ from .simplicial import (
     nerve,
     nerve_map,
     normalize_word,
-    parse_cell_ref,
     standard_simplex,
     word_surjection,
 )
@@ -141,31 +142,16 @@ def sd_elementary_map(n: int, kind: str, i: int, max_dim: int) -> SimplicialMap:
     return nerve_map(functor, sd_simplex(n + 1, max_dim), sd_simplex(n, max_dim))
 
 
-def _chain_vertex_tuple(ref: CellRef) -> tuple[str, ...]:
-    """Subset names visited by a (possibly degenerate) cell of some sd(Δⁿ).
-
-    The base is either a poset object (a subset name) or a chain of
-    inclusion arrows joined by '|'.
-    """
-    if "<" not in ref.base:
-        base_dim = 0
-        vertices = (ref.base,)
+def _last_vertex_delta(n: int, name: str) -> DeltaMap:
+    """The ordinal map picking the largest element of each subset visited
+    by a nondegenerate cell of sd(Δⁿ): a subset name or a chain of inclusion
+    arrows joined by '|'."""
+    if "<" in name:
+        pieces = name.split("|")
+        vertices = [pieces[0].split("<")[0]] + [p.split("<")[1] for p in pieces]
     else:
-        pieces = ref.base.split("|")
-        base_dim = len(pieces)
-        vertices = tuple(
-            [pieces[0].split("<")[0]] + [p.split("<")[1] for p in pieces]
-        )
-    if not ref.word:
-        return vertices
-    ws = word_surjection(ref.word, base_dim)
-    return tuple(vertices[ws(k)] for k in range(ws.domain + 1))
-
-
-def _last_vertex_delta(n: int, ref: CellRef) -> DeltaMap:
-    """The ordinal map picking the largest element of each subset."""
-    vertices = _chain_vertex_tuple(ref)
-    maxes = tuple(max(int(v) for v in name.split(".")) for name in vertices)
+        vertices = [name]
+    maxes = tuple(max(int(v) for v in subset.split(".")) for subset in vertices)
     return DeltaMap(len(maxes) - 1, n, maxes)
 
 
@@ -289,170 +275,135 @@ class LevelwiseSSet:
 
 # -- barycentric subdivision ---------------------------------------------------
 
-
-def _glue_tag(a: int, xref: CellRef, cref: CellRef) -> str:
-    return f"{a}${xref.serialize()}${cref.serialize()}"
+Chain = tuple[tuple[int, ...], ...]  # nonempty subsets of [a], increasing
 
 
-def _tag_parts(tag: str) -> tuple[int, str, str]:
-    # the degree never contains '$' and neither do sd(Δᵃ) cell names, so
-    # the X cell is whatever lies between the first and the last '$'
-    a_str, rest = tag.split("$", 1)
-    xs, cs = rest.rsplit("$", 1)
-    return int(a_str), xs, cs
+@lru_cache(maxsize=None)
+def _top_chains(a: int, max_dim: int) -> tuple[tuple[Chain, str], ...]:
+    """The strict chains S₀ ⊊ … ⊊ Sₘ = [a] with m ≤ max_dim, each beside
+    its name as a cell of sd(Δᵃ), the name :func:`nerve` gives it."""
+    out = []
 
+    def grow(chain: Chain) -> None:
+        out.append(chain)
+        if len(chain) > max_dim:
+            return
+        head = chain[0]
+        for size in range(1, len(head)):
+            for below in itertools.combinations(head, size):
+                grow((below,) + chain)
 
-def _split_tag(tag: str) -> tuple[int, CellRef, CellRef]:
-    a, xs, cs = _tag_parts(tag)
-    return a, parse_cell_ref(xs), parse_cell_ref(cs)
+    grow((tuple(range(a + 1)),))
+    return tuple(
+        (chain, "|".join(
+            f"{_subset_name(s)}<{_subset_name(t)}" for s, t in zip(chain, chain[1:])
+        ) or _subset_name(chain[0]))
+        for chain in out
+    )
 
 
 @dataclass
 class SdResult:
-    """Subdivided complex plus the gluing bookkeeping.
+    """Subdivided complex plus the Eilenberg–Zilber normal forms of its cells.
 
-    ``class_of[(m, tag)]`` sends a raw pair tag to its canonical
-    representative; ``ref_of[(m, rep)]`` to the cell reference over the
-    presented complex; ``origin[(m, name)]`` back to the representative.
+    ``origin[(m, name)]`` is ``(a, x, chain)``: the nondegenerate a-cell x
+    of the source and the strict chain of subsets of [a], with top [a],
+    whose pair is the cell; ``cell_name`` is the inverse, keyed by
+    ``(x, chain)``.  :func:`sd` sets ``complex`` once the cells are named.
     """
 
-    complex: SimplicialSet
-    class_of: dict[tuple[int, str], str]
-    ref_of: dict[tuple[int, str], CellRef]
-    origin: dict[tuple[int, str], str]
     source: SimplicialSet
+    origin: dict[tuple[int, str], tuple[int, str, Chain]]
+    cell_name: dict[tuple[str, Chain], str]
+    complex: SimplicialSet = field(init=False)
+    _restricted: dict[tuple[str, tuple[int, ...]], CellRef] = field(
+        default_factory=dict, repr=False
+    )
 
-    def pair_ref(self, m: int, a: int, xref: CellRef, cref: CellRef) -> CellRef:
-        return self.ref_of[(m, self.class_of[(m, _glue_tag(a, xref, cref))])]
+    def pair_ref(self, a: int, xref: CellRef, chain: Chain) -> CellRef:
+        """The cell of sd(X) glued from an arbitrary a-cell of X and a weakly
+        increasing chain of nonempty subsets of [a].
+
+        Until the pair is normal: push the chain through the surjection of
+        the cell's degeneracy word, restrict the base cell to the chain's
+        top subset T, and relabel the chain by position in T.  The strict
+        part of the chain then names the cell and its repeats give the
+        degeneracy word, as in :func:`surjection_word`.
+        """
+        while True:
+            if xref.word:
+                a -= len(xref.word)
+                surj = word_surjection(xref.word, a).values
+                chain = tuple(tuple(dict.fromkeys(surj[v] for v in s)) for s in chain)
+                xref = CellRef(xref.base)
+            top = chain[-1]
+            if len(top) == a + 1:
+                break
+            key = (xref.base, top)
+            restricted = self._restricted.get(key)
+            if restricted is None:
+                restricted = xref
+                for i in range(a, -1, -1):  # largest missing vertex first
+                    if i not in top:
+                        restricted = self.source.face(restricted, i)
+                self._restricted[key] = restricted
+            position = {v: k for k, v in enumerate(top)}
+            chain = tuple(tuple(position[v] for v in s) for s in chain)
+            a, xref = len(top) - 1, restricted
+        word = tuple(
+            i for i in range(len(chain) - 2, -1, -1) if chain[i] == chain[i + 1]
+        )
+        return CellRef(self.cell_name[(xref.base, tuple(dict.fromkeys(chain)))], word)
 
 
 def sd(x: SimplicialSet) -> SdResult:
     """Barycentric subdivision of an arbitrary bounded complex.
 
-    Levelwise coend over the ordinal category: pairs (a-cell of X, m-cell
-    of sd(Δᵃ)) are glued along faces and degeneracies in the X slot against
-    sd of the corresponding coface or codegeneracy in the other slot.
-    """
-    model, class_of = _glued_model(x)
-    model.verify()
-    complex_, ref_of, origin = model.to_presentation("b")
-    return SdResult(complex_, class_of, ref_of, origin, x)
-
-
-def _glued_model(
-    x: SimplicialSet,
-) -> tuple[LevelwiseSSet, dict[tuple[int, str], str]]:
-    """The levelwise model of sd(X) and the class of every pair tag.
-
-    Each cell reference is serialized once, each sd of an elementary map
-    is applied once per level, and each representative is split once;
-    these lookups are dropped on return, before the model is checked.
+    sd(X) is the colimit of sd(Δᵃ) over the cells of X.  By the
+    Eilenberg–Zilber lemma each of its nondegenerate m-cells is exactly one
+    pair (x, S₀ ⊊ … ⊊ Sₘ = [a]) of a nondegenerate a-cell of X and a strict
+    chain topped by [a].  The faces d_i, i < m, drop Sᵢ; d_m drops [a] and
+    is brought back to normal form by :meth:`SdResult.pair_ref`.  Each
+    level is ordered by the string ``f"{a}${x}${chain}"`` and named
+    ``b{m}_{k}``; the result is checked with ``SimplicialSet.validate``.
     """
     n_top = x.max_dim
-    names: dict[CellRef, str] = {}
-
-    def name(ref: CellRef) -> str:
-        text = names.get(ref)
-        if text is None:
-            text = names[ref] = ref.serialize()
-        return text
-
-    x_cells = {a: x.all_cells(a) for a in range(n_top + 1)}
-    sd_of = {a: sd_simplex(a, n_top) for a in range(n_top + 1)}
-    sd_cells = {
-        a: {m: sd_of[a].all_cells(m) for m in range(n_top + 1)}
-        for a in range(n_top + 1)
+    keyed: dict[int, list[tuple[str, int, str, Chain]]] = {
+        m: [] for m in range(n_top + 1)
     }
-    sd_names = {
-        a: {m: [name(cref) for cref in sd_cells[a][m]] for m in range(n_top + 1)}
-        for a in range(n_top + 1)
-    }
-    # the names of the faces and of the degeneracies of each sd(Δᵃ) cell
-    sd_ops: dict[tuple[int, str], tuple[list[str], list[str]]] = {}
     for a in range(n_top + 1):
-        for m in range(n_top + 1):
-            for c, cref in zip(sd_names[a][m], sd_cells[a][m]):
-                faces = [sd_of[a].face(cref, i) for i in range(m + 1)] if m else []
-                degs = (
-                    [sd_of[a].degeneracy(cref, i) for i in range(m + 1)]
-                    if m < n_top else []
-                )
-                sd_ops[(a, c)] = ([name(f) for f in faces], [name(d) for d in degs])
-    # the "a$x$" head of the tags of each X cell and, per face or
-    # degeneracy operator, the head of the image beside that of the cell
-    head = {a: [f"{a}${name(xref)}$" for xref in x_cells[a]] for a in x_cells}
-    face_heads = {
-        (a, i): list(zip(
-            (f"{a - 1}${name(x.face(xref, i))}$" for xref in x_cells[a]), head[a]
-        ))
-        for a in range(1, n_top + 1)
-        for i in range(a + 1)
-    }
-    deg_heads = {
-        (a, i): list(zip(
-            (f"{a + 1}${name(x.degeneracy(xref, i))}$" for xref in x_cells[a]),
-            head[a],
-        ))
-        for a in range(n_top)
-        for i in range(a + 1)
-    }
-
-    levels: dict[int, list[str]] = {}
-    class_of: dict[tuple[int, str], str] = {}
-    for m in range(n_top + 1):
-        tags = [
-            h + c for a in range(n_top + 1) for h in head[a] for c in sd_names[a][m]
-        ]
-        pairs = []
-        for (a, i), heads in face_heads.items():
-            sd_di = sd_elementary_map(a, "d", i, n_top)
-            images = [
-                (c, name(sd_di.apply(cref)))
-                for c, cref in zip(sd_names[a - 1][m], sd_cells[a - 1][m])
-            ]
-            for low, high in heads:
-                pairs.extend((low + c, high + image) for c, image in images)
-        for (a, i), heads in deg_heads.items():
-            sd_si = sd_elementary_map(a, "s", i, n_top)
-            images = [
-                (c, name(sd_si.apply(cref)))
-                for c, cref in zip(sd_names[a + 1][m], sd_cells[a + 1][m])
-            ]
-            for high, low in heads:
-                pairs.extend((high + c, low + image) for c, image in images)
-        classes = _union_find(tags, pairs)
-        levels[m] = sorted(set(classes.values()))
-        for tag, rep in classes.items():
-            class_of[(m, tag)] = rep
-
-    face_op: dict[tuple[int, int], dict[str, str]] = {}
-    deg_op: dict[tuple[int, int], dict[str, str]] = {}
-    for m in range(n_top + 1):
-        split = []
-        for rep in levels[m]:
-            a, _, c = _tag_parts(rep)
-            split.append((rep, rep[: -len(c)], *sd_ops[(a, c)]))
-        for i in range(m + 1):
-            if m > 0:
-                face_op[(m, i)] = {
-                    rep: class_of[(m - 1, prefix + down[i])]
-                    for rep, prefix, down, _ in split
-                }
-            if m < n_top:
-                deg_op[(m, i)] = {
-                    rep: class_of[(m + 1, prefix + up[i])]
-                    for rep, prefix, _, up in split
-                }
-    return LevelwiseSSet(n_top, levels, face_op, deg_op), class_of
+        chains = _top_chains(a, n_top)
+        for name in x.cells[a]:
+            head = f"{a}${name}$"
+            for chain, chain_name in chains:
+                keyed[len(chain) - 1].append((head + chain_name, a, name, chain))
+    cells: dict[int, list[str]] = {}
+    origin: dict[tuple[int, str], tuple[int, str, Chain]] = {}
+    cell_name: dict[tuple[str, Chain], str] = {}
+    for m, entries in keyed.items():
+        entries.sort()
+        cells[m] = [f"b{m}_{k}" for k in range(len(entries))]
+        for fresh, (_, a, name, chain) in zip(cells[m], entries):
+            origin[(m, fresh)] = (a, name, chain)
+            cell_name[(name, chain)] = fresh
+    result = SdResult(x, origin, cell_name)
+    faces = {}
+    for (m, fresh), (a, name, chain) in origin.items():
+        if m:
+            faces[(m, fresh)] = tuple(
+                CellRef(cell_name[(name, chain[:i] + chain[i + 1:])]) for i in range(m)
+            ) + (result.pair_ref(a, CellRef(name), chain[:-1]),)
+    result.complex = SimplicialSet(n_top, cells, faces)
+    result.complex.validate()
+    return result
 
 
 def sd_map(f: SimplicialMap, sdx: SdResult, sdy: SdResult) -> SimplicialMap:
     """Functoriality of sd: apply f in the X slot of every glued pair."""
-    cell_map = {}
-    for m in range(sdx.complex.max_dim + 1):
-        for name in sdx.complex.cells[m]:
-            a, xref, cref = _split_tag(sdx.origin[(m, name)])
-            cell_map[(m, name)] = sdy.pair_ref(m, a, f.apply(xref), cref)
+    cell_map = {
+        key: sdy.pair_ref(a, f.apply(CellRef(name)), chain)
+        for key, (a, name, chain) in sdx.origin.items()
+    }
     out = SimplicialMap(sdx.complex, sdy.complex, cell_map)
     out.validate()
     return out
@@ -462,13 +413,12 @@ def last_vertex(x: SimplicialSet, sdx: SdResult | None = None) -> SimplicialMap:
     """The natural map sd(X) → X induced by taking largest elements."""
     if sdx is None:
         sdx = sd(x)
-    cell_map = {}
-    for m in range(sdx.complex.max_dim + 1):
-        for name in sdx.complex.cells[m]:
-            a, xref, cref = _split_tag(sdx.origin[(m, name)])
-            cell_map[(m, name)] = apply_delta_ref(
-                x, xref, _last_vertex_delta(a, cref)
-            )
+    cell_map = {
+        (m, fresh): apply_delta_ref(
+            x, CellRef(name), DeltaMap(m, a, tuple(s[-1] for s in chain))
+        )
+        for (m, fresh), (a, name, chain) in sdx.origin.items()
+    }
     out = SimplicialMap(sdx.complex, x, cell_map)
     out.validate()
     return out
@@ -483,7 +433,7 @@ def last_vertex_simplex(n: int, max_dim: int | None = None) -> SimplicialMap:
     for m in range(sdn.max_dim + 1):
         for name in sdn.cells[m]:
             cell_map[(m, name)] = apply_delta_ref(
-                target, top, _last_vertex_delta(n, CellRef(name, ()))
+                target, top, _last_vertex_delta(n, name)
             )
     out = SimplicialMap(sdn, target, cell_map)
     out.validate()

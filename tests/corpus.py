@@ -3,10 +3,13 @@ test-suite exercises over and over."""
 
 from __future__ import annotations
 
+import importlib.util
+import pathlib
 import random
 
 from homcat.fincat import FinCategory, FinFunctor, validate_category
 from homcat.setcalc import Diagram, FinFunction, FinSetRep, identity_function
+from homcat.simplicial import SimplicialSet, simplicial_from_json
 
 
 def terminal_category() -> FinCategory:
@@ -240,3 +243,16 @@ def random_diagram(rng: random.Random, shape=None, max_set=3) -> Diagram:
             table[x] = y
         functions[m.name] = table
     return diagram_from_tables(shape, sets, functions)
+
+
+def seeded_surfaces(seed: int) -> list[SimplicialSet]:
+    """The benchmark's seeded surfaces, as ``perfbench/inputs.py`` names
+    them for ``seed``: the boundary of the tetrahedron, the torus, RP²."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [
+        simplicial_from_json(payload)
+        for _, payload, _, _ in inputs.surfaces(random.Random(seed))
+    ]

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from homcat.errors import BaseNotFound, DimensionTooLow, SchemaError
+from homcat import homotopy
 from homcat.homotopy import (
     _abelianized_trivial,
     _canonical_cyclic,
@@ -713,3 +714,52 @@ def test_tietze_matches_renumbering_oracle_on_subdivided_surfaces(build):
             want = tietze_oracle(pres, budget=budget)
             assert (got.generators, got.relators) == (want.generators, want.relators)
         x = sd(x).complex
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_tietze_matches_renumbering_oracle_on_seeded_surfaces_twice_subdivided(seed):
+    for x in corpus.seeded_surfaces(seed):
+        y = sd(sd(x).complex).complex
+        pres = pi1(y, y.cells[0][0])
+        got = tietze_simplify(pres, budget=100)
+        want = tietze_oracle(pres, budget=100)
+        assert (got.generators, got.relators) == (want.generators, want.relators)
+
+
+def record_rewrites(monkeypatch) -> list[tuple[int, tuple[int, ...]]]:
+    """Every relator an elimination rewrites, beside the generator it
+    eliminates."""
+    seen = []
+    substitute = homotopy._substitute
+
+    def counted(word, g_abs, image, inverse):
+        seen.append((g_abs, word))
+        return substitute(word, g_abs, image, inverse)
+
+    monkeypatch.setattr(homotopy, "_substitute", counted)
+    return seen
+
+
+def test_tietze_elimination_rewrites_only_the_relators_using_the_generator(monkeypatch):
+    seen = record_rewrites(monkeypatch)
+    # g1 occurs once in the first relator and is eliminated as g1 = g2⁻²;
+    # two of the other twelve relators use it, and no other move is open
+    using = [(1, 1, 3, 3, 3), (4, 4, 1, 1)]
+    others = [(4, 4, 5, 5), (5, 5, 5)] + [(k, k) for k in range(6, 16)]
+    pres = GroupPresentation(
+        [f"g{k}" for k in range(1, 16)],
+        [(1, 2, 2), using[0]] + others[:5] + [using[1]] + others[5:],
+    )
+    got = tietze_simplify(pres, budget=100)
+    want = tietze_oracle(pres, budget=100)
+    assert (got.generators, got.relators) == (want.generators, want.relators)
+    assert seen == [(1, w) for w in using]
+    # on larger runs every rewritten relator holds the eliminated generator
+    x = sd(torus_triangulation()).complex
+    for pres in [pi1(x, x.cells[0][0])] + [
+        random_presentation(random.Random(k)) for k in range(200)
+    ]:
+        seen.clear()
+        tietze_simplify(pres, budget=100)
+        assert all(g in map(abs, w) for g, w in seen)
+    assert seen

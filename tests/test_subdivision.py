@@ -1,17 +1,29 @@
 from __future__ import annotations
 
+import functools
+import json
+import random
+from dataclasses import dataclass
+
 import pytest
 
-from homcat.errors import BudgetExceeded
+from homcat import fincat
+from homcat.errors import BudgetExceeded, SchemaError
+from homcat.fincat import quotient as _union_find
 from homcat.simplicial import (
     CellRef,
+    DeltaMap,
     SimplicialMap,
     SimplicialSet,
+    apply_delta_ref,
     boundary,
     enumerate_maps,
     horn,
     nerve,
+    normalize_word,
+    parse_cell_ref,
     standard_simplex,
+    word_surjection,
 )
 from homcat.subdivision import (
     ex,
@@ -27,6 +39,7 @@ from homcat.subdivision import (
 )
 
 import corpus
+from test_homotopy import rp2_triangulation, torus_triangulation
 from test_simplicial import s1_model
 
 
@@ -250,3 +263,492 @@ def test_ex_iter_keeps_nerve_of_group_kan():
     _, stages = ex_iter(bg, 1)
     assert stages[0].verdict == "kan"
     assert stages[1].verdict == "kan"
+
+
+# -- the levelwise gluing oracle ---------------------------------------------------
+#
+# sd as it was built before it read its cells off their Eilenberg–Zilber
+# normal forms, kept verbatim as an oracle: every (a-cell of X, cell of
+# sd(Δᵃ)) pair gets a string tag, the tags are glued with a union-find,
+# and the levelwise model is checked and presented.  The normal-form sd
+# must give the same bytes, cell maps and pair references.
+
+
+def _oracle_chain_vertex_tuple(ref: CellRef) -> tuple[str, ...]:
+    """Subset names visited by a (possibly degenerate) cell of some sd(Δⁿ).
+
+    The base is either a poset object (a subset name) or a chain of
+    inclusion arrows joined by '|'.
+    """
+    if "<" not in ref.base:
+        base_dim = 0
+        vertices = (ref.base,)
+    else:
+        pieces = ref.base.split("|")
+        base_dim = len(pieces)
+        vertices = tuple(
+            [pieces[0].split("<")[0]] + [p.split("<")[1] for p in pieces]
+        )
+    if not ref.word:
+        return vertices
+    ws = word_surjection(ref.word, base_dim)
+    return tuple(vertices[ws(k)] for k in range(ws.domain + 1))
+
+
+def _oracle_last_vertex_delta(n: int, ref: CellRef) -> DeltaMap:
+    """The ordinal map picking the largest element of each subset."""
+    vertices = _oracle_chain_vertex_tuple(ref)
+    maxes = tuple(max(int(v) for v in name.split(".")) for name in vertices)
+    return DeltaMap(len(maxes) - 1, n, maxes)
+
+
+
+@dataclass
+class OracleLevelwiseSSet:
+    """All cells per level with explicit operator tables."""
+
+    max_dim: int
+    levels: dict[int, list[str]]
+    face_op: dict[tuple[int, int], dict[str, str]]
+    deg_op: dict[tuple[int, int], dict[str, str]]
+
+    def verify(self) -> None:
+        """Check all five simplicial identity families on the tables."""
+        for n in range(2, self.max_dim + 1):
+            for z in self.levels[n]:
+                for j in range(1, n + 1):
+                    for i in range(j):
+                        lhs = self.face_op[(n - 1, i)][self.face_op[(n, j)][z]]
+                        rhs = self.face_op[(n - 1, j - 1)][self.face_op[(n, i)][z]]
+                        if lhs != rhs:
+                            raise SchemaError(
+                                f"face identity fails at level {n} on {z!r}"
+                            )
+        for n in range(self.max_dim):
+            for z in self.levels[n]:
+                for j in range(n + 1):
+                    up = self.deg_op[(n, j)][z]
+                    if self.face_op[(n + 1, j)][up] != z:
+                        raise SchemaError("d_j s_j != id in the levelwise model")
+                    if self.face_op[(n + 1, j + 1)][up] != z:
+                        raise SchemaError("d_{j+1} s_j != id in the levelwise model")
+                    for i in range(n + 2):
+                        if i in (j, j + 1):
+                            continue
+                        got = self.face_op[(n + 1, i)][up]
+                        if i < j:
+                            want = self.deg_op[(n - 1, j - 1)][
+                                self.face_op[(n, i)][z]
+                            ]
+                        else:  # i > j + 1
+                            want = self.deg_op[(n - 1, j)][
+                                self.face_op[(n, i - 1)][z]
+                            ]
+                        if got != want:
+                            raise SchemaError(
+                                "mixed face-degeneracy identity fails"
+                            )
+        for n in range(self.max_dim - 1):
+            for z in self.levels[n]:
+                for j in range(n + 1):
+                    for i in range(j + 1):  # i <= j: s_i s_j = s_{j+1} s_i
+                        lhs = self.deg_op[(n + 1, i)][self.deg_op[(n, j)][z]]
+                        rhs = self.deg_op[(n + 1, j + 1)][self.deg_op[(n, i)][z]]
+                        if lhs != rhs:
+                            raise SchemaError(
+                                "degeneracy-degeneracy identity fails"
+                            )
+
+    def to_presentation(self, prefix: str) -> tuple[
+        SimplicialSet,
+        dict[tuple[int, str], CellRef],
+        dict[tuple[int, str], str],
+    ]:
+        """Extract the nondegenerate presentation.
+
+        Returns the presented complex, ``ref_of`` sending every level cell
+        to its normal form over the new names, and ``origin`` sending each
+        new nondegenerate name back to its level cell.
+        """
+        # one degeneracy preimage per degenerate cell; by Eilenberg–Zilber
+        # any preimage gives the same normal form
+        lift: dict[tuple[int, str], tuple[int, str]] = {}
+        for (n, i), table in self.deg_op.items():
+            for y, image in table.items():
+                lift.setdefault((n + 1, image), (i, y))
+        names: dict[tuple[int, str], str] = {}
+        cells: dict[int, list[str]] = {}
+        origin: dict[tuple[int, str], str] = {}
+        for n in range(self.max_dim + 1):
+            cells[n] = []
+            for z in self.levels[n]:
+                if (n, z) not in lift:
+                    fresh = f"{prefix}{n}_{len(cells[n])}"
+                    cells[n].append(fresh)
+                    names[(n, z)] = fresh
+                    origin[(n, fresh)] = z
+
+        ref_of: dict[tuple[int, str], CellRef] = {}
+
+        def resolve(n: int, z: str) -> CellRef:
+            if (n, z) in ref_of:
+                return ref_of[(n, z)]
+            if (n, z) in names:
+                out = CellRef(names[(n, z)], ())
+            else:
+                i, pre = lift[(n, z)]
+                inner = resolve(n - 1, pre)
+                out = CellRef(inner.base, normalize_word([i] + list(inner.word)))
+            ref_of[(n, z)] = out
+            return out
+
+        faces = {}
+        for n in range(1, self.max_dim + 1):
+            for z in self.levels[n]:
+                if (n, z) not in names:
+                    continue
+                faces[(n, names[(n, z)])] = tuple(
+                    resolve(n - 1, self.face_op[(n, i)][z]) for i in range(n + 1)
+                )
+        for n in range(self.max_dim + 1):
+            for z in self.levels[n]:
+                resolve(n, z)
+        out = SimplicialSet(self.max_dim, cells, faces)
+        out.validate()
+        return out, ref_of, origin
+
+
+def _oracle_glue_tag(a: int, xref: CellRef, cref: CellRef) -> str:
+    return f"{a}${xref.serialize()}${cref.serialize()}"
+
+
+def _oracle_tag_parts(tag: str) -> tuple[int, str, str]:
+    # the degree never contains '$' and neither do sd(Δᵃ) cell names, so
+    # the X cell is whatever lies between the first and the last '$'
+    a_str, rest = tag.split("$", 1)
+    xs, cs = rest.rsplit("$", 1)
+    return int(a_str), xs, cs
+
+
+def _oracle_split_tag(tag: str) -> tuple[int, CellRef, CellRef]:
+    a, xs, cs = _oracle_tag_parts(tag)
+    return a, parse_cell_ref(xs), parse_cell_ref(cs)
+
+
+@dataclass
+class OracleSdResult:
+    """Subdivided complex plus the gluing bookkeeping.
+
+    ``class_of[(m, tag)]`` sends a raw pair tag to its canonical
+    representative; ``ref_of[(m, rep)]`` to the cell reference over the
+    presented complex; ``origin[(m, name)]`` back to the representative.
+    """
+
+    complex: SimplicialSet
+    class_of: dict[tuple[int, str], str]
+    ref_of: dict[tuple[int, str], CellRef]
+    origin: dict[tuple[int, str], str]
+    source: SimplicialSet
+
+    def pair_ref(self, m: int, a: int, xref: CellRef, cref: CellRef) -> CellRef:
+        return self.ref_of[(m, self.class_of[(m, _oracle_glue_tag(a, xref, cref))])]
+
+
+def oracle_sd(x: SimplicialSet) -> OracleSdResult:
+    """Barycentric subdivision of an arbitrary bounded complex.
+
+    Levelwise coend over the ordinal category: pairs (a-cell of X, m-cell
+    of sd(Δᵃ)) are glued along faces and degeneracies in the X slot against
+    sd of the corresponding coface or codegeneracy in the other slot.
+    """
+    model, class_of = _oracle_glued_model(x)
+    model.verify()
+    complex_, ref_of, origin = model.to_presentation("b")
+    return OracleSdResult(complex_, class_of, ref_of, origin, x)
+
+
+def _oracle_glued_model(
+    x: SimplicialSet,
+) -> tuple[OracleLevelwiseSSet, dict[tuple[int, str], str]]:
+    """The levelwise model of sd(X) and the class of every pair tag.
+
+    Each cell reference is serialized once, each sd of an elementary map
+    is applied once per level, and each representative is split once;
+    these lookups are dropped on return, before the model is checked.
+    """
+    n_top = x.max_dim
+    names: dict[CellRef, str] = {}
+
+    def name(ref: CellRef) -> str:
+        text = names.get(ref)
+        if text is None:
+            text = names[ref] = ref.serialize()
+        return text
+
+    x_cells = {a: x.all_cells(a) for a in range(n_top + 1)}
+    sd_of = {a: sd_simplex(a, n_top) for a in range(n_top + 1)}
+    sd_cells = {
+        a: {m: sd_of[a].all_cells(m) for m in range(n_top + 1)}
+        for a in range(n_top + 1)
+    }
+    sd_names = {
+        a: {m: [name(cref) for cref in sd_cells[a][m]] for m in range(n_top + 1)}
+        for a in range(n_top + 1)
+    }
+    # the names of the faces and of the degeneracies of each sd(Δᵃ) cell
+    sd_ops: dict[tuple[int, str], tuple[list[str], list[str]]] = {}
+    for a in range(n_top + 1):
+        for m in range(n_top + 1):
+            for c, cref in zip(sd_names[a][m], sd_cells[a][m]):
+                faces = [sd_of[a].face(cref, i) for i in range(m + 1)] if m else []
+                degs = (
+                    [sd_of[a].degeneracy(cref, i) for i in range(m + 1)]
+                    if m < n_top else []
+                )
+                sd_ops[(a, c)] = ([name(f) for f in faces], [name(d) for d in degs])
+    # the "a$x$" head of the tags of each X cell and, per face or
+    # degeneracy operator, the head of the image beside that of the cell
+    head = {a: [f"{a}${name(xref)}$" for xref in x_cells[a]] for a in x_cells}
+    face_heads = {
+        (a, i): list(zip(
+            (f"{a - 1}${name(x.face(xref, i))}$" for xref in x_cells[a]), head[a]
+        ))
+        for a in range(1, n_top + 1)
+        for i in range(a + 1)
+    }
+    deg_heads = {
+        (a, i): list(zip(
+            (f"{a + 1}${name(x.degeneracy(xref, i))}$" for xref in x_cells[a]),
+            head[a],
+        ))
+        for a in range(n_top)
+        for i in range(a + 1)
+    }
+
+    levels: dict[int, list[str]] = {}
+    class_of: dict[tuple[int, str], str] = {}
+    for m in range(n_top + 1):
+        tags = [
+            h + c for a in range(n_top + 1) for h in head[a] for c in sd_names[a][m]
+        ]
+        pairs = []
+        for (a, i), heads in face_heads.items():
+            sd_di = sd_elementary_map(a, "d", i, n_top)
+            images = [
+                (c, name(sd_di.apply(cref)))
+                for c, cref in zip(sd_names[a - 1][m], sd_cells[a - 1][m])
+            ]
+            for low, high in heads:
+                pairs.extend((low + c, high + image) for c, image in images)
+        for (a, i), heads in deg_heads.items():
+            sd_si = sd_elementary_map(a, "s", i, n_top)
+            images = [
+                (c, name(sd_si.apply(cref)))
+                for c, cref in zip(sd_names[a + 1][m], sd_cells[a + 1][m])
+            ]
+            for high, low in heads:
+                pairs.extend((high + c, low + image) for c, image in images)
+        classes = _union_find(tags, pairs)
+        levels[m] = sorted(set(classes.values()))
+        for tag, rep in classes.items():
+            class_of[(m, tag)] = rep
+
+    face_op: dict[tuple[int, int], dict[str, str]] = {}
+    deg_op: dict[tuple[int, int], dict[str, str]] = {}
+    for m in range(n_top + 1):
+        split = []
+        for rep in levels[m]:
+            a, _, c = _oracle_tag_parts(rep)
+            split.append((rep, rep[: -len(c)], *sd_ops[(a, c)]))
+        for i in range(m + 1):
+            if m > 0:
+                face_op[(m, i)] = {
+                    rep: class_of[(m - 1, prefix + down[i])]
+                    for rep, prefix, down, _ in split
+                }
+            if m < n_top:
+                deg_op[(m, i)] = {
+                    rep: class_of[(m + 1, prefix + up[i])]
+                    for rep, prefix, _, up in split
+                }
+    return OracleLevelwiseSSet(n_top, levels, face_op, deg_op), class_of
+
+
+def oracle_sd_map(f: SimplicialMap, sdx: OracleSdResult, sdy: OracleSdResult) -> SimplicialMap:
+    """Functoriality of sd: apply f in the X slot of every glued pair."""
+    cell_map = {}
+    for m in range(sdx.complex.max_dim + 1):
+        for name in sdx.complex.cells[m]:
+            a, xref, cref = _oracle_split_tag(sdx.origin[(m, name)])
+            cell_map[(m, name)] = sdy.pair_ref(m, a, f.apply(xref), cref)
+    out = SimplicialMap(sdx.complex, sdy.complex, cell_map)
+    out.validate()
+    return out
+
+
+def oracle_last_vertex(x: SimplicialSet, sdx: OracleSdResult | None = None) -> SimplicialMap:
+    """The natural map sd(X) → X induced by taking largest elements."""
+    if sdx is None:
+        sdx = oracle_sd(x)
+    cell_map = {}
+    for m in range(sdx.complex.max_dim + 1):
+        for name in sdx.complex.cells[m]:
+            a, xref, cref = _oracle_split_tag(sdx.origin[(m, name)])
+            cell_map[(m, name)] = apply_delta_ref(
+                x, xref, _oracle_last_vertex_delta(a, cref)
+            )
+    out = SimplicialMap(sdx.complex, x, cell_map)
+    out.validate()
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def sd_corpus() -> dict[str, SimplicialSet]:
+    out: dict[str, SimplicialSet] = {}
+    for n in range(4):
+        out[f"simplex{n}"] = standard_simplex(n, n)
+        if n:
+            out[f"boundary{n}"] = boundary(n)
+            for k in range(n + 1):
+                out[f"horn{n}{k}"] = horn(n, k)
+    out["simplex1-in-dim3"] = standard_simplex(1, 3)  # levels above n
+    out["boundary3-in-dim2"] = boundary(3, 2)
+    for order in (2, 3, 4):
+        for dim in (2, 3):
+            out[f"bz{order}-dim{dim}"] = nerve(corpus.cyclic_group_category(order), dim)
+    out["idempotent-dim3"] = nerve(corpus.idempotent_monoid_category(), 3)
+    out["circle"] = s1_model()
+    out["torus"] = torus_triangulation()
+    out["rp2"] = rp2_triangulation()
+    for label, x in zip(("sphere", "torus", "rp2"), corpus.seeded_surfaces(1)):
+        out[f"seeded-{label}"] = x
+    return out
+
+
+def renamed(x: SimplicialSet, rng: random.Random) -> SimplicialSet:
+    """``x`` with every cell renamed over characters that sort below '$'
+    (space, '!', '"', '#') or beside it, so that the level order by tag
+    string and the order by (degree, cell, chain) tuple part ways."""
+    taken: set[str] = set()
+    new: dict[str, str] = {}
+    for n in range(x.max_dim + 1):
+        for name in x.cells[n]:
+            fresh = ""
+            while not fresh or fresh in taken or fresh.strip() != fresh:
+                fresh = "".join(rng.choice('pq$ !#"') for _ in range(rng.randint(1, 4)))
+            taken.add(fresh)
+            new[name] = fresh
+    y = SimplicialSet(
+        x.max_dim,
+        {n: [new[name] for name in names] for n, names in x.cells.items()},
+        {
+            (n, new[name]): tuple(CellRef(new[r.base], r.word) for r in refs)
+            for (n, name), refs in x.faces.items()
+        },
+    )
+    y.validate()
+    return y
+
+
+def assert_matches_oracle(x: SimplicialSet) -> SimplicialSet:
+    got, want = sd(x), oracle_sd(x)
+    assert json.dumps(got.complex.to_json_dict()) == json.dumps(
+        want.complex.to_json_dict()
+    )
+    assert last_vertex(x, got).cell_map == oracle_last_vertex(x, want).cell_map
+    return got.complex
+
+
+@pytest.mark.parametrize("label", sorted(sd_corpus()))
+def test_sd_matches_the_gluing_oracle_byte_for_byte(label):
+    x = sd_corpus()[label]
+    # sd of sd too, where the oracle is quick enough
+    for _ in range(2 if x.max_dim <= 2 else 1):
+        x = assert_matches_oracle(x)
+
+
+def test_sd_matches_the_gluing_oracle_on_names_that_sort_below_dollar():
+    # vertex "p q" sorts before "p" by tag string ("0$p q$0" < "0$p$0")
+    # but after it as a tuple; sd orders by the string
+    names = ["p", "p q", "p$q", "p!", 'p"', "p#"]
+    star = SimplicialSet(
+        2,
+        {0: names, 1: [f"e{k}" for k in range(1, 6)], 2: []},
+        {(1, f"e{k}"): (CellRef(names[k]), CellRef("p")) for k in range(1, 6)},
+    )
+    star.validate()
+    assert sd(star).origin[(0, "b0_0")] == (0, "p q", ((0,),))
+    assert_matches_oracle(star)
+    rng = random.Random(1957)
+    for label, x in sorted(sd_corpus().items()):
+        if x.max_dim <= 2:
+            for _ in range(2):
+                assert_matches_oracle(renamed(x, rng))
+
+
+def chain_of(cref: CellRef) -> tuple[tuple[int, ...], ...]:
+    """The subsets a (possibly degenerate) cell of sd(Δᵃ) visits."""
+    return tuple(
+        tuple(int(v) for v in name.split("."))
+        for name in _oracle_chain_vertex_tuple(cref)
+    )
+
+
+def test_pair_ref_matches_the_oracle_on_every_pair():
+    rng = random.Random(5)
+    for x in [s1_model(), horn(2, 1), boundary(2), standard_simplex(2, 2),
+              nerve(corpus.cyclic_group_category(3), 2),
+              nerve(corpus.idempotent_monoid_category(), 2),
+              renamed(rp2_triangulation(), rng)]:
+        got, want = sd(x), oracle_sd(x)
+        for a in range(x.max_dim + 1):
+            sd_a = sd_simplex(a, x.max_dim)
+            for xref in x.all_cells(a):
+                for m in range(x.max_dim + 1):
+                    for cref in sd_a.all_cells(m):
+                        assert got.pair_ref(a, xref, chain_of(cref)) == want.pair_ref(
+                            m, a, xref, cref
+                        )
+
+
+def test_sd_map_and_last_vertex_match_the_oracle():
+    rng = random.Random(11)
+    bz2, bz3 = (nerve(corpus.cyclic_group_category(k), 2) for k in (2, 3))
+    pairs = [
+        (standard_simplex(1, 1), s1_model()),
+        (horn(2, 1), bz2),
+        (standard_simplex(2, 2), bz3),
+        (boundary(2), s1_model()),
+        (renamed(boundary(2), rng), renamed(bz3, rng)),
+        (s1_model(), renamed(torus_triangulation(), rng)),
+    ]
+    for x, y in pairs:
+        sdx, sdy, osdx, osdy = sd(x), sd(y), oracle_sd(x), oracle_sd(y)
+        assert last_vertex(x, sdx).cell_map == oracle_last_vertex(x, osdx).cell_map
+        assert last_vertex(y, sdy).cell_map == oracle_last_vertex(y, osdy).cell_map
+        maps = enumerate_maps(x, y)
+        assert maps
+        for f in maps[:8]:
+            assert sd_map(f, sdx, sdy).cell_map == oracle_sd_map(f, osdx, osdy).cell_map
+
+
+def test_sd_makes_no_union_find_call(monkeypatch):
+    class Refused:
+        def __init__(self, *args):
+            raise AssertionError("a union-find was built")
+
+    monkeypatch.setattr(fincat, "UnionFind", Refused)
+    with pytest.raises(AssertionError):
+        fincat.quotient(["x"], [])
+    collapse = SimplicialMap(
+        standard_simplex(1, 1),
+        s1_model(),
+        {(0, "0"): CellRef("v"), (0, "1"): CellRef("v"), (1, "0-1"): CellRef("a")},
+    )
+    for x in [boundary(2), standard_simplex(3, 3), torus_triangulation(),
+              nerve(corpus.cyclic_group_category(3), 3)]:
+        sdx = sd(x)
+        last_vertex(x, sdx)
+        if x.max_dim <= 2:
+            sd(sdx.complex)
+    sd_map(collapse, sd(collapse.source), sd(collapse.target))

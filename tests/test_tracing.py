@@ -49,6 +49,7 @@ def test_benchmark_tracer_installs_and_spans_union_find(monkeypatch):
     assert len(hc.setcalc.colimit(diagram).apex) == 2
     after_colimit = union_find_spans()
     assert after_colimit > 0
-    hc.subdivision.sd(hc.simplicial.horn(2, 1))
+    # sd builds no union-find; π₀ still quotients the vertices
+    hc.homotopy.pi0(hc.simplicial.horn(2, 1))
     assert union_find_spans() > after_colimit
     assert tracer.metrics()["unionfind.elements"] > 0
