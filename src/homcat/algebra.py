@@ -20,7 +20,7 @@ from .errors import (
     SchemaError,
     UnitAxiomFailed,
 )
-from .fincat import partition
+from .fincat import join_names, partition
 from .setcalc import FinFunction, FinSetRep, pushout
 
 
@@ -177,21 +177,13 @@ def orbit(action: FinAction) -> list[list[str]]:
     """Orbit partition, computed as the pushout of (projection, action) and
     independently as reachability closure; the two must agree."""
     space = action.space.elements
-    product = FinSetRep(
-        "actor×space",
-        tuple(
-            f"{x}|{y}"
-            for x in action.actor.carrier.elements
-            for y in space
-        ),
+    names = join_names(
+        [(x, y) for x in action.actor.carrier.elements for y in space], "|"
     )
-    proj = FinFunction(
-        product, action.space, {f"{x}|{y}": y for x, y in _pairs(action)}
-    )
+    product = FinSetRep("actor×space", tuple(names.values()))
+    proj = FinFunction(product, action.space, {n: y for (_, y), n in names.items()})
     act = FinFunction(
-        product,
-        action.space,
-        {f"{x}|{y}": action(x, y) for x, y in _pairs(action)},
+        product, action.space, {n: action(x, y) for (x, y), n in names.items()}
     )
     cone = pushout(proj, act)
     pushout_blocks: dict[str, list] = {}
@@ -212,12 +204,6 @@ def orbit(action: FinAction) -> list[list[str]]:
             closure=sorted(map(sorted, via_closure)),
         )
     return closure_blocks
-
-
-def _pairs(action: FinAction):
-    for x in action.actor.carrier.elements:
-        for y in action.space.elements:
-            yield x, y
 
 
 # -- the interchange-law scan ---------------------------------------------------

@@ -266,6 +266,27 @@ def opposite(cat: FinCategory) -> FinCategory:
     return FinCategory(list(cat.objects), mors, table, dict(cat.identity))
 
 
+def join_names(keys, sep: str, open: str = "", close: str = "") -> dict:
+    """Name distinct tuples of strings, as a dict key → name.
+
+    A key is named ``open + sep.join(key) + close``.  If two keys would get
+    the same name, every part of every key is escaped instead: a backslash
+    goes in front of each backslash and each character of ``sep``, ``open``
+    and ``close``.  The escaped names are injective (an unescaped ``sep``
+    ends a part), apart from ``()`` beside ``("",)``.  Without a collision
+    the names are the plain joins, byte for byte, so the order of names and
+    the least name of a class stay as they were.
+    """
+    names = {key: open + sep.join(key) + close for key in keys}
+    if len(set(names.values())) < len(names):
+        escape = str.maketrans({c: "\\" + c for c in "\\" + sep + open + close})
+        names = {
+            key: open + sep.join(part.translate(escape) for part in key) + close
+            for key in names
+        }
+    return names
+
+
 def pair_obj(x: str, y: str) -> str:
     return f"({x},{y})"
 

@@ -20,13 +20,19 @@ from .errors import (
     NotUniversal,
     SchemaError,
 )
-from .fincat import FinCategory, FinFunctor, Mor, opposite
+from .fincat import FinCategory, FinFunctor, Mor, join_names, opposite
 from .fincat import quotient as _quotient  # perfbench/tracing.py wraps this name
 
 
 @dataclass(frozen=True)
 class FinSetRep:
-    """A named finite set of distinct tokens: strings, or tuples of strings."""
+    """A named finite set of distinct elements.
+
+    The elements are strings; sets the engine builds from tuples of them
+    (products, tagged unions, pairs) name each tuple with
+    :func:`~homcat.fincat.join_names`.  Only the image sets inside
+    :func:`limit` and :func:`end_cone` hold tuples.
+    """
 
     name: str
     elements: tuple
@@ -70,32 +76,6 @@ class FinFunction:
 
 def identity_function(s: FinSetRep) -> FinFunction:
     return FinFunction(s, s, {x: x for x in s.elements})
-
-
-def tuple_token(parts) -> str:
-    return "(" + ",".join(parts) + ")"
-
-
-def split_tuple_token(token: str) -> list[str]:
-    """Inverse of :func:`tuple_token` for balanced component tokens."""
-    if not (token.startswith("(") and token.endswith(")")):
-        raise SchemaError(f"not a tuple token: {token!r}")
-    inner = token[1:-1]
-    if not inner:
-        return []
-    parts, depth, cur = [], 0, []
-    for ch in inner:
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-            continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        cur.append(ch)
-    parts.append("".join(cur))
-    return parts
 
 
 @dataclass
@@ -148,15 +128,13 @@ def constant_diagram(shape: FinCategory, s: FinSetRep) -> Diagram:
 def product(sets: list[FinSetRep]) -> ConeResult:
     """Cartesian product with coordinate projections; empty input gives
     the one-element terminal set."""
-    tuples = list(itertools.product(*(s.elements for s in sets)))
-    apex = FinSetRep(
-        tuple_token([s.name for s in sets]), tuple(tuple_token(t) for t in tuples)
-    )
-    legs = {}
-    for k, s in enumerate(sets):
-        legs[k] = FinFunction(
-            apex, s, {tuple_token(t): t[k] for t in tuples}
-        )
+    names = join_names(itertools.product(*(s.elements for s in sets)), ",", "(", ")")
+    [apex_name] = join_names([tuple(s.name for s in sets)], ",", "(", ")").values()
+    apex = FinSetRep(apex_name, tuple(names.values()))
+    legs = {
+        k: FinFunction(apex, s, {name: t[k] for t, name in names.items()})
+        for k, s in enumerate(sets)
+    }
     return ConeResult(apex, legs)
 
 
@@ -214,30 +192,33 @@ def limit(d: Diagram) -> ConeResult:
     return ConeResult(apex, legs)
 
 
-def _tagged(obj: str, elem: str) -> str:
-    return f"{obj}:{elem}"
+def _glued(name: str, summands: dict[str, FinSetRep], pairs) -> ConeResult:
+    """The disjoint union of the ``summands``, its elements named
+    ``key:element``, quotiented by ``pairs`` of (key, element) tuples; one
+    leg per summand, into the least name of each class."""
+    names = join_names(
+        [(k, e) for k, s in summands.items() for e in s.elements], ":"
+    )
+    classes = _quotient(list(names.values()), [(names[a], names[b]) for a, b in pairs])
+    apex = FinSetRep(name, tuple(sorted(set(classes.values()))))
+    legs = {
+        k: FinFunction(s, apex, {e: classes[names[(k, e)]] for e in s.elements})
+        for k, s in summands.items()
+    }
+    return ConeResult(apex, legs)
 
 
 def colimit(d: Diagram) -> ConeResult:
     """Disjoint union of the values, quotiented by x ~ F(f)(x)."""
-    elements = [
-        _tagged(y, e) for y in d.shape.objects for e in d.values[y].elements
-    ]
-    pairs = []
-    for m in d.shape.morphisms:
-        for e in d.values[m.src].elements:
-            pairs.append((_tagged(m.src, e), _tagged(m.dst, d.arrows[m.name](e))))
-    classes = _quotient(elements, pairs)
-    apex = FinSetRep("colim", tuple(sorted(set(classes.values()))))
-    legs = {
-        y: FinFunction(
-            d.values[y],
-            apex,
-            {e: classes[_tagged(y, e)] for e in d.values[y].elements},
-        )
-        for y in d.shape.objects
-    }
-    return ConeResult(apex, legs)
+    return _glued(
+        "colim",
+        {y: d.values[y] for y in d.shape.objects},
+        (
+            ((m.src, e), (m.dst, d.arrows[m.name](e)))
+            for m in d.shape.morphisms
+            for e in d.values[m.src].elements
+        ),
+    )
 
 
 def cospan_shape() -> FinCategory:
@@ -310,14 +291,12 @@ def pushout(f: FinFunction, g: FinFunction) -> ConeResult:
         },
     )
     cone = colimit(d)
-    elements = [_tagged("L", e) for e in f.target.elements] + [
-        _tagged("R", e) for e in g.target.elements
-    ]
-    classes = _quotient(
-        elements,
-        [(_tagged("L", f(w)), _tagged("R", g(w))) for w in f.source.elements],
+    direct = _glued(
+        "pushout",
+        {"L": f.target, "R": g.target},
+        ((("L", f(w)), ("R", g(w))) for w in f.source.elements),
     )
-    if len(set(classes.values())) != len(cone.apex.elements):
+    if len(direct.apex.elements) != len(cone.apex.elements):
         raise EngineError("pushout disagrees with the direct formula")
     return ConeResult(cone.apex, {"L": cone.legs["L"], "R": cone.legs["R"]})
 
@@ -431,26 +410,18 @@ def end(h: Bifunctor) -> FinSetRep:
 def coend_cocone(h: Bifunctor) -> ConeResult:
     """Coend as ∐_X H(X,X) quotiented by H(f,id)(w) ~ H(id,f)(w)."""
     c = h.shape
-    elements = [
-        _tagged(x, e) for x in c.objects for e in h.value(x, x).elements
-    ]
-    pairs = []
-    for m in c.morphisms:
-        for w in h.value(m.dst, m.src).elements:
-            left = h.action(m.name, c.identity[m.src])(w)  # in H(src, src)
-            right = h.action(c.identity[m.dst], m.name)(w)  # in H(dst, dst)
-            pairs.append((_tagged(m.src, left), _tagged(m.dst, right)))
-    classes = _quotient(elements, pairs)
-    apex = FinSetRep("coend", tuple(sorted(set(classes.values()))))
-    legs = {
-        x: FinFunction(
-            h.value(x, x),
-            apex,
-            {e: classes[_tagged(x, e)] for e in h.value(x, x).elements},
-        )
-        for x in c.objects
-    }
-    return ConeResult(apex, legs)
+    return _glued(
+        "coend",
+        {x: h.value(x, x) for x in c.objects},
+        (
+            (
+                (m.src, h.action(m.name, c.identity[m.src])(w)),  # in H(src, src)
+                (m.dst, h.action(c.identity[m.dst], m.name)(w)),  # in H(dst, dst)
+            )
+            for m in c.morphisms
+            for w in h.value(m.dst, m.src).elements
+        ),
+    )
 
 
 def coend(h: Bifunctor) -> FinSetRep:
@@ -522,38 +493,41 @@ def lan(f: Diagram, i: FinFunctor) -> tuple[Diagram, dict[str, FinFunction]]:
     if f.shape.objects != a_cat.objects:
         raise EndpointMismatch("diagram shape must be the functor's source")
 
-    def tag(y: str, m: str, e: str) -> str:
-        return f"{y}|{m}|{e}"
-
+    # at X, the element e of F(Y) beside m: i(Y) → X is named y|m|e
+    tags: dict[str, dict[tuple[str, str, str], str]] = {}
+    keys: dict[str, dict[str, tuple[str, str, str]]] = {}
     pointwise_classes: dict[str, dict[str, str]] = {}
     values: dict[str, FinSetRep] = {}
     for x in c_cat.objects:
-        elements = [
-            tag(y, m, e)
-            for y in a_cat.objects
-            for m in c_cat.hom(i.on_obj(y), x)
-            for e in f.values[y].elements
-        ]
+        tags[x] = tag = join_names(
+            [
+                (y, m, e)
+                for y in a_cat.objects
+                for m in c_cat.hom(i.on_obj(y), x)
+                for e in f.values[y].elements
+            ],
+            "|",
+        )
+        keys[x] = {name: key for key, name in tag.items()}
         pairs = []
         for a in a_cat.morphisms:  # a: Y -> Z
             for m in c_cat.hom(i.on_obj(a.dst), x):
                 pre = c_cat.compose(m, i.on_mor(a.name))
                 for e in f.values[a.src].elements:
                     pairs.append(
-                        (tag(a.src, pre, e), tag(a.dst, m, f.arrows[a.name](e)))
+                        (tag[(a.src, pre, e)], tag[(a.dst, m, f.arrows[a.name](e))])
                     )
-        classes = _quotient(elements, pairs)
+        classes = _quotient(list(tag.values()), pairs)
         pointwise_classes[x] = classes
         values[x] = FinSetRep(f"Lan({x})", tuple(sorted(set(classes.values()))))
 
     arrows = {}
     for g in c_cat.morphisms:  # g: X -> X'
         mapping = {}
-        src_classes = pointwise_classes[g.src]
-        dst_classes = pointwise_classes[g.dst]
+        dst_classes, dst_tag = pointwise_classes[g.dst], tags[g.dst]
         for rep in values[g.src].elements:
-            y, m, e = rep.split("|", 2)
-            mapping[rep] = dst_classes[tag(y, c_cat.compose(g.name, m), e)]
+            y, m, e = keys[g.src][rep]
+            mapping[rep] = dst_classes[dst_tag[(y, c_cat.compose(g.name, m), e)]]
         arrows[g.name] = FinFunction(values[g.src], values[g.dst], mapping)
     result = Diagram(c_cat, values, arrows)
     result.validate()
@@ -565,7 +539,7 @@ def lan(f: Diagram, i: FinFunctor) -> tuple[Diagram, dict[str, FinFunction]]:
             f.values[y],
             values[x],
             {
-                e: pointwise_classes[x][tag(y, c_cat.identity[x], e)]
+                e: pointwise_classes[x][tags[x][(y, c_cat.identity[x], e)]]
                 for e in f.values[y].elements
             },
         )

@@ -31,7 +31,7 @@ from .errors import (
     NotMonotone,
     SchemaError,
 )
-from .fincat import FinCategory
+from .fincat import FinCategory, join_names
 
 
 # -- the category of finite ordinals --------------------------------------
@@ -548,13 +548,30 @@ def apply_delta_ref(x: SimplicialSet, ref: CellRef, dmap: DeltaMap) -> CellRef:
 # -- nerves -----------------------------------------------------------------
 
 
-def _chain_name(chain: tuple[str, ...]) -> str:
-    return "|".join(chain)
+def nerve_chains(cat: FinCategory, max_dim: int) -> dict[tuple[str, ...], str]:
+    """The nondegenerate cells of the nerve above dimension 0: composable
+    chains of non-identity morphisms, at most ``max_dim`` long, by length,
+    each beside its cell name.  Chains of every length are named in one
+    :func:`join_names` call on '|', so a chain never takes the name of a
+    single morphism."""
+    nonid = [m for m in cat.morphisms if not cat.is_identity(m.name)]
+    level = [(m.name,) for m in nonid] if max_dim >= 1 else []
+    chains = list(level)
+    for _ in range(2, max_dim + 1):
+        level = [
+            prev + (m.name,) for prev in level for m in nonid
+            if m.src == cat.dst(prev[-1])
+        ]
+        chains.extend(level)
+    return join_names(chains, "|")
 
 
-def chain_to_ref(cat: FinCategory, chain: tuple[str, ...]) -> CellRef:
+def chain_to_ref(
+    cat: FinCategory, names: dict[tuple[str, ...], str], chain: tuple[str, ...]
+) -> CellRef:
     """Normal form of a composable chain: identities stripped off as
-    degeneracies, leftmost first."""
+    degeneracies, leftmost first; ``names`` is :func:`nerve_chains` of
+    ``cat``."""
     word = []
     rest = list(chain)
     while True:
@@ -569,7 +586,7 @@ def chain_to_ref(cat: FinCategory, chain: tuple[str, ...]) -> CellRef:
         # fully degenerate: base is the source vertex of the original chain
         base = cat.src(chain[0])
     else:
-        base = _chain_name(tuple(rest))
+        base = names[tuple(rest)]
     return CellRef(base, normalize_word(word))
 
 
@@ -582,40 +599,30 @@ def nerve(cat: FinCategory, max_dim: int) -> SimplicialSet:
     cells: dict[int, list[str]] = {n: [] for n in range(max_dim + 1)}
     faces = {}
     cells[0] = list(cat.objects)
-    chains: dict[int, list[tuple[str, ...]]] = {1: []}
-    nonid = [m for m in cat.morphisms if not cat.is_identity(m.name)]
-    chains[1] = [(m.name,) for m in nonid]
-    for n in range(2, max_dim + 1):
-        chains[n] = [
-            prev + (m.name,)
-            for prev in chains[n - 1]
-            for m in nonid
-            if cat.src(m.name) == cat.dst(prev[-1])
-        ]
-    for n in range(1, max_dim + 1):
-        for chain in chains.get(n, []):
-            name = _chain_name(chain)
-            cells[n].append(name)
-            refs = []
-            for i in range(n + 1):
-                if i == 0:
-                    sub = chain[1:]
-                    if not sub:
-                        refs.append(CellRef(cat.dst(chain[0]), ()))
-                        continue
-                elif i == n:
-                    sub = chain[:-1]
-                    if not sub:
-                        refs.append(CellRef(cat.src(chain[0]), ()))
-                        continue
-                else:
-                    sub = (
-                        chain[: i - 1]
-                        + (cat.compose(chain[i], chain[i - 1]),)
-                        + chain[i + 1:]
-                    )
-                refs.append(chain_to_ref(cat, sub))
-            faces[(n, name)] = tuple(refs)
+    names = nerve_chains(cat, max_dim)
+    for chain, name in names.items():
+        n = len(chain)
+        cells[n].append(name)
+        refs = []
+        for i in range(n + 1):
+            if i == 0:
+                sub = chain[1:]
+                if not sub:
+                    refs.append(CellRef(cat.dst(chain[0]), ()))
+                    continue
+            elif i == n:
+                sub = chain[:-1]
+                if not sub:
+                    refs.append(CellRef(cat.src(chain[0]), ()))
+                    continue
+            else:
+                sub = (
+                    chain[: i - 1]
+                    + (cat.compose(chain[i], chain[i - 1]),)
+                    + chain[i + 1:]
+                )
+            refs.append(chain_to_ref(cat, names, sub))
+        faces[(n, name)] = tuple(refs)
     x = SimplicialSet(max_dim, cells, faces)
     x.validate()
     return x
@@ -625,13 +632,13 @@ def nerve_map(functor, src_nerve: SimplicialSet, dst_nerve: SimplicialSet) -> Si
     """The simplicial map of nerves induced by a functor: chains map
     morphism-wise, with identities normalizing into degeneracies."""
     cat = functor.target
+    names = nerve_chains(cat, dst_nerve.max_dim)
     cell_map: dict[tuple[int, str], CellRef] = {}
     for name in src_nerve.cells[0]:
         cell_map[(0, name)] = CellRef(functor.on_obj(name), ())
-    for n in range(1, src_nerve.max_dim + 1):
-        for name in src_nerve.cells[n]:
-            chain = tuple(functor.on_mor(m) for m in name.split("|"))
-            cell_map[(n, name)] = chain_to_ref(cat, chain)
+    for chain, name in nerve_chains(functor.source, src_nerve.max_dim).items():
+        image = tuple(functor.on_mor(m) for m in chain)
+        cell_map[(len(chain), name)] = chain_to_ref(cat, names, image)
     out = SimplicialMap(src_nerve, dst_nerve, cell_map)
     out.validate()
     return out
@@ -695,17 +702,14 @@ def nerve_eg(
     def difference(a: str, b: str) -> str:
         return op_table[(inverse[a], b)]
 
+    bg_names = nerve_chains(bg_cat, max_dim)
     cell_map: dict[tuple[int, str], CellRef] = {}
     for g in elements:
         cell_map[(0, g)] = CellRef("*", ())
-    for n in range(1, max_dim + 1):
-        for name in eg.cells[n]:
-            chain = name.split("|")
-            vertices = [eg_cat.src(chain[0])] + [eg_cat.dst(m) for m in chain]
-            diffs = tuple(
-                difference(vertices[i], vertices[i + 1]) for i in range(n)
-            )
-            cell_map[(n, name)] = chain_to_ref(bg_cat, diffs)
+    for chain, name in nerve_chains(eg_cat, max_dim).items():
+        vertices = [eg_cat.src(chain[0])] + [eg_cat.dst(m) for m in chain]
+        diffs = tuple(map(difference, vertices, vertices[1:]))
+        cell_map[(len(chain), name)] = chain_to_ref(bg_cat, bg_names, diffs)
     projection = SimplicialMap(eg, bg, cell_map)
     projection.validate()
     return eg, bg, projection

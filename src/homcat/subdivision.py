@@ -29,6 +29,7 @@ from .simplicial import (
     classify,
     enumerate_maps,
     nerve,
+    nerve_chains,
     nerve_map,
     normalize_word,
     standard_simplex,
@@ -41,6 +42,14 @@ from .simplicial import (
 
 def _subset_name(subset: tuple[int, ...]) -> str:
     return ".".join(str(v) for v in subset)
+
+
+def _subsets(n: int) -> tuple[tuple[int, ...], ...]:
+    """The nonempty subsets of [n], in the order of the objects of
+    :func:`subset_poset`."""
+    return tuple(
+        s for size in range(1, n + 2) for s in itertools.combinations(range(n + 1), size)
+    )
 
 
 def _shared_cache(build):
@@ -68,9 +77,7 @@ def _shared_cache(build):
 @_shared_cache
 def subset_poset(n: int) -> FinCategory:
     """Nonempty subsets of [n], ordered by inclusion."""
-    subsets = []
-    for size in range(1, n + 2):
-        subsets.extend(itertools.combinations(range(n + 1), size))
+    subsets = _subsets(n)
     names = [_subset_name(s) for s in subsets]
     morphisms = []
     compose = []
@@ -107,19 +114,15 @@ def sd_simplex(n: int, max_dim: int | None = None) -> SimplicialSet:
 def _poset_functor(n_src: int, n_dst: int, vertex_map: DeltaMap) -> FinFunctor:
     """The poset map S ↦ vertex_map(S) between subset posets, as a functor."""
     src, dst = subset_poset(n_src), subset_poset(n_dst)
-
-    def image(name: str) -> str:
-        values = sorted({vertex_map(int(v)) for v in name.split(".")})
-        return _subset_name(tuple(values))
-
-    object_map = {name: image(name) for name in src.objects}
-    morphism_map = {}
-    for m in src.morphisms:
-        if src.is_identity(m.name):
-            morphism_map[m.name] = dst.identity[object_map[m.src]]
-            continue
-        a, b = object_map[m.src], object_map[m.dst]
-        morphism_map[m.name] = dst.identity[a] if a == b else f"{a}<{b}"
+    dst_name = dict(zip(_subsets(n_dst), dst.objects))
+    object_map = {
+        name: dst_name[tuple(sorted({vertex_map(v) for v in subset}))]
+        for name, subset in zip(src.objects, _subsets(n_src))
+    }
+    # a poset has one morphism between comparable objects, the identity or not
+    morphism_map = {
+        m.name: dst.hom(object_map[m.src], object_map[m.dst])[0] for m in src.morphisms
+    }
     f = FinFunctor(src, dst, object_map, morphism_map)
     f.validate()
     return f
@@ -142,17 +145,29 @@ def sd_elementary_map(n: int, kind: str, i: int, max_dim: int) -> SimplicialMap:
     return nerve_map(functor, sd_simplex(n + 1, max_dim), sd_simplex(n, max_dim))
 
 
-def _last_vertex_delta(n: int, name: str) -> DeltaMap:
-    """The ordinal map picking the largest element of each subset visited
-    by a nondegenerate cell of sd(Δⁿ): a subset name or a chain of inclusion
-    arrows joined by '|'."""
-    if "<" in name:
-        pieces = name.split("|")
-        vertices = [pieces[0].split("<")[0]] + [p.split("<")[1] for p in pieces]
-    else:
-        vertices = [name]
-    maxes = tuple(max(int(v) for v in subset.split(".")) for subset in vertices)
-    return DeltaMap(len(maxes) - 1, n, maxes)
+def _subset_chains(n: int, max_dim: int):
+    """Each nondegenerate cell of sd(Δⁿ) up to ``max_dim``, in the order of
+    :func:`sd_simplex`, as ``((m, name), chain)`` with ``chain`` the
+    subsets of [n] the cell visits."""
+    poset = subset_poset(n)
+    subset = dict(zip(poset.objects, _subsets(n)))
+    for name in poset.objects:
+        yield (0, name), (subset[name],)
+    for arrows, name in nerve_chains(poset, max_dim).items():
+        chain = (poset.src(arrows[0]),) + tuple(poset.dst(a) for a in arrows)
+        yield (len(arrows), name), tuple(subset[v] for v in chain)
+
+
+@lru_cache(maxsize=None)
+def _last_vertex_deltas(
+    n: int, max_dim: int
+) -> tuple[tuple[tuple[int, str], DeltaMap], ...]:
+    """Each nondegenerate cell of sd(Δⁿ) beside the ordinal map picking the
+    largest element of each subset it visits."""
+    return tuple(
+        (key, DeltaMap(len(chain) - 1, n, tuple(s[-1] for s in chain)))
+        for key, chain in _subset_chains(n, max_dim)
+    )
 
 
 # -- levelwise models ---------------------------------------------------------
@@ -281,24 +296,11 @@ Chain = tuple[tuple[int, ...], ...]  # nonempty subsets of [a], increasing
 @lru_cache(maxsize=None)
 def _top_chains(a: int, max_dim: int) -> tuple[tuple[Chain, str], ...]:
     """The strict chains S₀ ⊊ … ⊊ Sₘ = [a] with m ≤ max_dim, each beside
-    its name as a cell of sd(Δᵃ), the name :func:`nerve` gives it."""
-    out = []
-
-    def grow(chain: Chain) -> None:
-        out.append(chain)
-        if len(chain) > max_dim:
-            return
-        head = chain[0]
-        for size in range(1, len(head)):
-            for below in itertools.combinations(head, size):
-                grow((below,) + chain)
-
-    grow((tuple(range(a + 1)),))
+    its name as a cell of sd(Δᵃ)."""
     return tuple(
-        (chain, "|".join(
-            f"{_subset_name(s)}<{_subset_name(t)}" for s, t in zip(chain, chain[1:])
-        ) or _subset_name(chain[0]))
-        for chain in out
+        (chain, name)
+        for (_, name), chain in _subset_chains(a, max_dim)
+        if len(chain[-1]) == a + 1
     )
 
 
@@ -428,13 +430,11 @@ def last_vertex_simplex(n: int, max_dim: int | None = None) -> SimplicialMap:
     """sd(Δⁿ) → Δⁿ on the standard model (no gluing needed)."""
     sdn = sd_simplex(n, max_dim)
     target = standard_simplex(n, n)
-    top = CellRef("-".join(str(v) for v in range(n + 1)), ())
-    cell_map = {}
-    for m in range(sdn.max_dim + 1):
-        for name in sdn.cells[m]:
-            cell_map[(m, name)] = apply_delta_ref(
-                target, top, _last_vertex_delta(n, name)
-            )
+    top = CellRef(target.cells[n][0])
+    cell_map = {
+        key: apply_delta_ref(target, top, delta)
+        for key, delta in _last_vertex_deltas(n, sdn.max_dim)
+    }
     out = SimplicialMap(sdn, target, cell_map)
     out.validate()
     return out
@@ -500,18 +500,6 @@ def ex(
     return ExResult(complex_, maps, ref_of, level_name, x)
 
 
-def _vertex_tuple_delta(n: int, ref: CellRef) -> DeltaMap:
-    """Read a cell of Δⁿ back as the ordinal map it classifies."""
-    base_vertices = tuple(int(v) for v in ref.base.split("-"))
-    base_dim = len(base_vertices) - 1
-    if not ref.word:
-        return DeltaMap(base_dim, n, base_vertices)
-    ws = word_surjection(ref.word, base_dim)
-    return DeltaMap(
-        ws.domain, n, tuple(base_vertices[ws(k)] for k in range(ws.domain + 1))
-    )
-
-
 def ex_unit(x: SimplicialSet, exx: ExResult | None = None) -> SimplicialMap:
     """X → Ex(X): a cell goes to its classifying map precomposed with the
     last-vertex map of the standard simplex."""
@@ -520,19 +508,13 @@ def ex_unit(x: SimplicialSet, exx: ExResult | None = None) -> SimplicialMap:
     n_top = x.max_dim
     cell_map = {}
     for n in range(n_top + 1):
-        lv = last_vertex_simplex(n, n_top)
+        deltas = _last_vertex_deltas(n, n_top)
         for name in x.cells[n]:
+            cell = CellRef(name)
             unit_map = SimplicialMap(
                 sd_simplex(n, n_top),
                 x,
-                {
-                    key: apply_delta_ref(
-                        x,
-                        CellRef(name, ()),
-                        _vertex_tuple_delta(n, lv.cell_map[key]),
-                    )
-                    for key in lv.cell_map
-                },
+                {key: apply_delta_ref(x, cell, delta) for key, delta in deltas},
             )
             cell_map[(n, name)] = exx.ref_of_map(n, unit_map)
     out = SimplicialMap(x, exx.complex, cell_map)

@@ -206,13 +206,13 @@ def random_shape(
             return cat
 
 
-def random_diagram(rng: random.Random, shape=None, max_set=3) -> Diagram:
+def random_diagram(rng: random.Random, shape=None, max_set=3, min_set=0) -> Diagram:
     """Random set-valued diagram: free choices on the generating edges of a
     path category, extended to composites by actual composition."""
     if shape is None:
         shape = random_shape(rng)
     sets = {
-        x: [f"{x}e{k}" for k in range(rng.randint(0, max_set))]
+        x: [f"{x}e{k}" for k in range(rng.randint(min_set, max_set))]
         for x in shape.objects
     }
     nonid = [m for m in shape.morphisms if not shape.is_identity(m.name)]

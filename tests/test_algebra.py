@@ -181,6 +181,22 @@ def test_orbit_with_fixed_point():
     assert orbit(check_action(raw)) == [["1", "2"], ["3"]]
 
 
+def test_orbit_with_bars_in_actor_and_space_names():
+    # the pairs (e, f|g) and (e|f, g) would both be named e|f|g
+    raw = {
+        "v": 1,
+        "monoid": {
+            "v": 1,
+            "elements": ["e", "e|f"],
+            "op": [["e", "e|f"], ["e|f", "e"]],
+            "unit": "e",
+        },
+        "space": ["f|g", "g"],
+        "act": [["f|g", "g"], ["g", "f|g"]],
+    }
+    assert orbit(check_action(raw)) == [["f|g", "g"]]
+
+
 def random_group_action(rng: random.Random) -> FinAction:
     """A random Z/n action (cycle type dividing n) or an idempotent-monoid
     action, on a random small space."""

@@ -429,15 +429,24 @@ def kan_functor() -> dict:
     }
 
 
+def discrete_diagram(sets: dict) -> dict:
+    shape = {"objects": list(sets), "morphisms": [], "compose": []}
+    return {"v": 1, "shape": shape, "sets": sets, "functions": {}}
+
+
 SETCALC_FIXTURES = {
     "diagram": setcalc_diagram,
+    # element names whose plain joins collide, in the colimit and the limit
+    "colon-clash": lambda: discrete_diagram({"A": ["b:c"], "A:b": ["c"]}),
+    "comma-clash": lambda: discrete_diagram({"X": ["a,b", "a"], "Y": ["c", "b,c"]}),
     "bifunctor": lambda: hom_bifunctor(corpus.cyclic_group_category(4)),
     "kan-diagram": kan_diagram,
     "kan-functor": kan_functor,
 }
 
 # sha256 of stdout of the verbs that take limits, ends and right Kan
-# extensions; how the equalizers are cut out must not change a byte
+# extensions; how the equalizers are cut out must not change a byte, and
+# neither may the names of elements whose plain joins collide
 PINNED_SETCALC_REPORTS = [
     (["limit", "diagram"],
      "9eb6c68c2fc3e3e162d821db70fe96ae81a338933e8408195ed14c3a4fe7055e"),
@@ -445,6 +454,15 @@ PINNED_SETCALC_REPORTS = [
      "4abc3ed2aeb807cc66ea4cd3a17629f69613cbfa9281fabd82da676a49bba38f"),
     (["kan-right", "kan-diagram", "kan-functor"],
      "1217847de4f77e49a66120e7546b82aec4b22993e00203ef741d421de5c863b2"),
+    # the escaped names of join_names
+    (["limit", "colon-clash"],
+     "1d5e0a42a252b7e9708c04e9bede75df92683098701fc733946d5d4d79b34cb3"),
+    (["colimit", "colon-clash"],
+     "cd8bb5a4a7b4bc77ffe7b5df5641c7699b68b26cc0dde131ade017918b829fb7"),
+    (["limit", "comma-clash"],
+     "6c09fd28a6fe01a2e211cf2515575f69d781fb5677ca85cfaeac2b005e548251"),
+    (["colimit", "comma-clash"],
+     "3315a7bad3b4bcfe1be92eb7326205873b0ce752d95f844d05aad313e4e8044a"),
 ]
 
 

@@ -20,6 +20,7 @@ from homcat.fincat import (
     hom_functor,
     identity_functor,
     iso_classes,
+    join_names,
     opposite,
     partition,
     product_category,
@@ -435,3 +436,27 @@ def test_nat_trans_agrees_with_end_computation():
         direct = enumerate_nat_trans(f, g)
         via_end = setcalc.end(setcalc.nat_trans_bifunctor(f, g))
         assert len(direct) == len(via_end)
+
+
+def test_join_names_escapes_only_on_a_collision():
+    assert join_names([("a", "b"), ("c",), ()], ",", "(", ")") == {
+        ("a", "b"): "(a,b)", ("c",): "(c)", (): "()"
+    }
+    assert join_names([("a,b", "c"), ("a", "b,c"), ("(\\", ")")], ",", "(", ")") == {
+        ("a,b", "c"): "(a\\,b,c)",
+        ("a", "b,c"): "(a,b\\,c)",
+        ("(\\", ")"): "(\\(\\\\,\\))",
+    }
+
+
+def test_join_names_is_injective_on_random_keys():
+    rng = random.Random(31)
+    for _ in range(200):
+        length = rng.randint(1, 3)
+        keys = list(dict.fromkeys(
+            tuple("".join(rng.choice("a|\\") for _ in range(rng.randint(0, 3)))
+                  for _ in range(length))
+            for _ in range(rng.randint(1, 12))
+        ))
+        names = join_names(keys, "|")
+        assert len(set(names.values())) == len(keys)

@@ -28,11 +28,14 @@ from homcat.setcalc import (
     pullback,
     pushout,
     ran,
-    split_tuple_token,
-    tuple_token,
 )
 
 import corpus
+
+
+def tup(parts) -> str:
+    """A tuple of element names as one name, like the elements of a product."""
+    return "(" + ",".join(parts) + ")"
 
 
 # -- oracles --------------------------------------------------------------
@@ -103,6 +106,106 @@ def check_colimit_against_oracle(d: Diagram) -> None:
     assert {frozenset(b) for b in blocks.values()} == colimit_oracle(d)
 
 
+# -- names joined from user names ------------------------------------------
+
+
+def discrete_diagram(sets: dict) -> Diagram:
+    shape = fincat.validate_category(
+        {"objects": list(sets), "morphisms": [], "compose": []}
+    )
+    return corpus.diagram_from_tables(shape, sets, {})
+
+
+def test_colimit_keeps_elements_whose_tags_join_alike():
+    # A beside b:c and A:b beside c would both be tagged A:b:c
+    d = discrete_diagram({"A": ["b:c"], "A:b": ["c"]})
+    assert len(colimit(d).apex) == 2
+    check_colimit_against_oracle(d)
+
+
+def test_limit_keeps_families_whose_tuples_join_alike():
+    # (a,b , c) and (a , b,c) would both be named (a,b,c)
+    d = discrete_diagram({"X": ["a,b", "a"], "Y": ["c", "b,c"]})
+    assert len(limit(d).apex) == 4
+    check_limit_against_oracle(d)
+
+
+def test_lan_over_an_object_named_with_a_bar():
+    d = discrete_diagram({"p|q": ["u"]})
+    l, unit = lan(d, identity_functor(d.shape))
+    assert len(l.values["p|q"]) == 1
+    assert unit["p|q"].is_bijective()
+
+
+def clashing_names(rng: random.Random) -> tuple[list[str], list[str]]:
+    """Object names ``x``, ``x:y``, ``z`` and element names ``x``, ``y``,
+    ``z``, ``x:y``, ``y:z``, or the same with ',', for three of
+    ``a b ( ) | \\``: joined on the same character, the pieces before and
+    after one cut of ``x:y:z`` give the same text as those of the other."""
+    x, y, z = rng.sample("ab()|\\", 3)
+    sep = rng.choice(":,")
+    return [x, x + sep + y, z], [x, y, z, x + sep + y, y + sep + z]
+
+
+def renamed_diagram(rng: random.Random, d: Diagram) -> Diagram:
+    """``d`` with its objects and the elements of each set renamed from one
+    :func:`clashing_names` pool, and its morphisms renamed to random strings
+    over ``a b : , | ( ) \\``."""
+    objects, pool = clashing_names(rng)
+    shape = d.shape
+    obj = dict(zip(shape.objects, rng.sample(objects, len(shape.objects))))
+    nonid = [m for m in shape.morphisms if not shape.is_identity(m.name)]
+    mor = {}
+    while len(mor) < len(nonid):
+        name = "".join(rng.choice("ab:,|()\\") for _ in range(rng.randint(1, 3)))
+        if name not in mor.values():
+            mor[nonid[len(mor)].name] = name
+    for x in shape.objects:
+        mor[shape.identity[x]] = "id_" + obj[x]
+    new_shape = fincat.validate_category({
+        "objects": [obj[x] for x in shape.objects],
+        "morphisms": [{"name": mor[m.name], "src": obj[m.src], "dst": obj[m.dst]}
+                      for m in nonid],
+        "compose": [[mor[g], mor[f], mor[h]] for (g, f), h in shape.compose_table.items()
+                    if not shape.is_identity(g) and not shape.is_identity(f)],
+    })
+    elem = {
+        x: dict(zip(d.values[x].elements, rng.sample(pool, len(d.values[x]))))
+        for x in shape.objects
+    }
+    return corpus.diagram_from_tables(
+        new_shape,
+        {obj[x]: list(elem[x].values()) for x in shape.objects},
+        {
+            mor[m.name]: {elem[m.src][e]: elem[m.dst][v]
+                          for e, v in d.arrows[m.name].mapping.items()}
+            for m in nonid
+        },
+    )
+
+
+def test_limits_and_colimits_of_diagrams_with_clashing_names():
+    rng = random.Random(2718)
+    clashes = {"tags": 0, "tuples": 0}
+    for _ in range(400):
+        d = renamed_diagram(rng, corpus.random_diagram(rng, max_set=4, min_set=2))
+        objs = d.shape.objects
+        check_colimit_against_oracle(d)
+        assert len(colimit(d).apex) == len(colimit_oracle(d))
+        check_limit_against_oracle(d)
+        cone = product([d.values[y] for y in objs])
+        assert len(set(cone.apex.elements)) == len(cone.apex.elements)
+        families = [tuple(cone.legs[k](e) for k in range(len(objs)))
+                    for e in cone.apex.elements]
+        assert families == list(itertools.product(*(d.values[y].elements for y in objs)))
+        # how often the plain joins collide, so that escaping is exercised
+        tags = [f"{y}:{e}" for y in objs for e in d.values[y].elements]
+        tuples = [",".join(t) for t in families]
+        clashes["tags"] += len(set(tags)) < len(tags)
+        clashes["tuples"] += len(set(tuples)) < len(tuples)
+    assert min(clashes.values()) >= 10, clashes
+
+
 # -- products and equalizers ----------------------------------------------
 
 
@@ -117,8 +220,7 @@ def test_binary_product_counts():
     cone = product([a, b])
     assert len(cone.apex) == 6
     for e in cone.apex.elements:
-        x, y = split_tuple_token(e)
-        assert cone.legs[0](e) == x and cone.legs[1](e) == y
+        assert e == tup([cone.legs[0](e), cone.legs[1](e)])
 
 
 def test_unary_product_is_the_set_itself():
@@ -382,13 +484,15 @@ def test_end_computes_natural_transformations():
 def mixed_bifunctor(shape, contra: Diagram, cov: Diagram) -> Bifunctor:
     """H(x, y) = contra(x) × cov(y); contra lives over opposite(shape)."""
     values = {}
+    parts = {}
     for x in shape.objects:
         for y in shape.objects:
-            pairs = [
-                tuple_token([u, v])
+            pairs = {
+                tup([u, v]): (u, v)
                 for u in contra.values[x].elements
                 for v in cov.values[y].elements
-            ]
+            }
+            parts.update(pairs)
             values[(x, y)] = FinSetRep(f"H({x},{y})", tuple(pairs))
     actions = {}
     for f in shape.morphisms:
@@ -397,8 +501,8 @@ def mixed_bifunctor(shape, contra: Diagram, cov: Diagram) -> Bifunctor:
             target = values[(f.src, g.dst)]
             mapping = {}
             for e in source.elements:
-                u, v = split_tuple_token(e)
-                mapping[e] = tuple_token(
+                u, v = parts[e]
+                mapping[e] = tup(
                     [contra.arrows[f.name](u), cov.arrows[g.name](v)]
                 )
             actions[(f.name, g.name)] = FinFunction(source, target, mapping)
@@ -468,18 +572,22 @@ def double_end(big: Bifunctor, p_cat, c_cat, inner: str) -> int:
         for b in outer_cat.morphisms:
             source = values[(a.dst, b.src)]
             target = values[(a.src, b.dst)]
+            source_legs = cones[(a.dst, b.src)].legs
+            target_legs = cones[(a.src, b.dst)].legs
+            by_family = {
+                tuple(target_legs[x](t) for x in inner_cat.objects): t
+                for t in target.elements
+            }
             mapping = {}
             for e in source.elements:
-                comps = split_tuple_token(e)
-                moved = [
+                moved = tuple(
                     act(a.name, b.name, inner_cat.identity[x], inner_cat.identity[x])(
-                        comps[k]
+                        source_legs[x](e)
                     )
-                    for k, x in enumerate(inner_cat.objects)
-                ]
-                token = tuple_token(moved)
-                assert token in target.elements
-                mapping[e] = token
+                    for x in inner_cat.objects
+                )
+                assert moved in by_family
+                mapping[e] = by_family[moved]
             actions[(a.name, b.name)] = FinFunction(source, target, mapping)
     e_bif = Bifunctor(outer_cat, values, actions)
     e_bif.validate()
@@ -491,18 +599,22 @@ def big_product_bifunctor(p_cat, c_cat, contra_p, cov_p, contra_c, cov_c):
     from homcat.fincat import pair_mor, pair_obj
 
     pc = product_category(p_cat, c_cat)
+    pair = {pair_mor(f.name, g.name): (f.name, g.name)
+            for f in p_cat.morphisms for g in c_cat.morphisms}
+    parts = {}
     values = {}
     for p in p_cat.objects:
         for x in c_cat.objects:
             for q in p_cat.objects:
                 for y in c_cat.objects:
-                    toks = [
-                        tuple_token([a, b, c, d])
+                    toks = {
+                        tup([a, b, c, d]): (a, b, c, d)
                         for a in contra_p.values[p].elements
                         for b in cov_p.values[q].elements
                         for c in contra_c.values[x].elements
                         for d in cov_c.values[y].elements
-                    ]
+                    }
+                    parts.update(toks)
                     values[(pair_obj(p, x), pair_obj(q, y))] = FinSetRep(
                         f"H({p},{x};{q},{y})", tuple(toks)
                     )
@@ -511,12 +623,12 @@ def big_product_bifunctor(p_cat, c_cat, contra_p, cov_p, contra_c, cov_c):
         for b in pc.morphisms:
             src = values[(a.dst, b.src)]
             tgt = values[(a.src, b.dst)]
-            ap, ax = split_tuple_token(a.name)
-            bp, bx = split_tuple_token(b.name)
+            ap, ax = pair[a.name]
+            bp, bx = pair[b.name]
             mapping = {}
             for e in src.elements:
-                t1, t2, t3, t4 = split_tuple_token(e)
-                mapping[e] = tuple_token(
+                t1, t2, t3, t4 = parts[e]
+                mapping[e] = tup(
                     [
                         contra_p.arrows[ap](t1),
                         cov_p.arrows[bp](t2),

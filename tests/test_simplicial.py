@@ -406,6 +406,28 @@ def test_nerve_eg_rejects_non_group():
         nerve_eg(table, ["0", "1"], "0", 2)
 
 
+def test_nerve_names_a_chain_apart_from_the_composite_named_like_it():
+    # the chain a, b and its composite a|b would both be named a|b
+    from homcat.fincat import identity_functor, validate_category
+    from homcat.simplicial import nerve_chains, nerve_map
+
+    cat = validate_category({
+        "objects": ["X", "Y", "Z"],
+        "morphisms": [
+            {"name": "a", "src": "X", "dst": "Y"},
+            {"name": "b", "src": "Y", "dst": "Z"},
+            {"name": "a|b", "src": "X", "dst": "Z"},
+        ],
+        "compose": [["b", "a", "a|b"]],
+    })
+    x = nerve(cat, 2)
+    assert x.counts() == (3, 3, 1)
+    names = nerve_chains(cat, 2)
+    assert x.face(CellRef(names[("a", "b")]), 1) == CellRef(names[("a|b",)])
+    pair = (2, names[("a", "b")])
+    assert nerve_map(identity_functor(cat), x, x).cell_map[pair] == CellRef(pair[1])
+
+
 # -- maps -------------------------------------------------------------------
 
 
