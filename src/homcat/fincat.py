@@ -287,31 +287,44 @@ def join_names(keys, sep: str, open: str = "", close: str = "") -> dict:
     return names
 
 
-def pair_obj(x: str, y: str) -> str:
-    return f"({x},{y})"
+def join_families(families: list, open: str, close: str) -> dict:
+    """Name distinct families ``((o, ((k, v), ...)), ...)`` ``o{k>v,...};...``,
+    with ``open`` and ``close`` for the braces, as a dict family → name.
 
-
-def pair_mor(f: str, g: str) -> str:
-    return f"({f},{g})"
+    Each level (the ``k>v`` pairs, their ``,``-joins, the blocks, the
+    ``;``-join) is one :func:`join_names` call over the names of the level
+    below, so the names are injective and a level stays plain unless its
+    own names clash."""
+    blocks = {block for family in families for block in family}
+    pair = join_names({kv for _, kvs in blocks for kv in kvs}, ">")
+    row = {kvs: tuple(pair[kv] for kv in kvs) for _, kvs in blocks}
+    inner = join_names(row.values(), ",")
+    parts = {(o, kvs): (o, inner[row[kvs]]) for o, kvs in blocks}
+    block = join_names(parts.values(), open, "", close)
+    top = {family: tuple(block[parts[b]] for b in family) for family in families}
+    name = join_names(top.values(), ";")
+    return {family: name[t] for family, t in top.items()}
 
 
 def product_category(c: FinCategory, d: FinCategory) -> FinCategory:
-    objects = [pair_obj(x, y) for x in c.objects for y in d.objects]
+    """C × D.  Objects and morphisms are the pairs, in lexicographic order,
+    named ``(x,y)`` by :func:`join_names`."""
+    obj = join_names(itertools.product(c.objects, d.objects), ",", "(", ")")
+    mor = join_names(
+        ((f.name, g.name) for f in c.morphisms for g in d.morphisms), ",", "(", ")"
+    )
     mors = [
-        Mor(pair_mor(f.name, g.name), pair_obj(f.src, g.src), pair_obj(f.dst, g.dst))
+        Mor(mor[f.name, g.name], obj[f.src, g.src], obj[f.dst, g.dst])
         for f in c.morphisms
         for g in d.morphisms
     ]
-    table = {}
-    for (g1, f1), h1 in c.compose_table.items():
-        for (g2, f2), h2 in d.compose_table.items():
-            table[(pair_mor(g1, g2), pair_mor(f1, f2))] = pair_mor(h1, h2)
-    identity = {
-        pair_obj(x, y): pair_mor(c.identity[x], d.identity[y])
-        for x in c.objects
-        for y in d.objects
+    table = {
+        (mor[g1, g2], mor[f1, f2]): mor[h1, h2]
+        for (g1, f1), h1 in c.compose_table.items()
+        for (g2, f2), h2 in d.compose_table.items()
     }
-    return FinCategory(objects, mors, table, identity)
+    identity = {xy: mor[c.identity[x], d.identity[y]] for (x, y), xy in obj.items()}
+    return FinCategory(list(obj.values()), mors, table, identity)
 
 
 class UnionFind:
@@ -579,19 +592,19 @@ def hom_functor(cat: FinCategory, x: str, variance: str = "co"):
 def yoneda_check(cat: FinCategory, x: str, diagram) -> dict[str, str]:
     """Verify Nat(Mor(x;-); F) → F(x), ξ ↦ ξ(x)(id_x) is a bijection.
 
-    Returns the bijection as a dict keyed by a canonical serialization of
-    each natural transformation.  Raising :class:`NotBijective` would mean
-    the enumeration machinery itself is broken.
+    Returns the bijection as a dict keyed by the name that
+    :func:`join_families` gives each natural transformation among them all.
+    Raising :class:`NotBijective` would mean the enumeration machinery
+    itself is broken.
     """
     from . import setcalc
 
     hx = hom_functor(cat, x, "co")
     nats = setcalc.diagram_nat_trans(hx, diagram)
+    keys = [setcalc.transformation_key(nt) for nt in nats]
+    names = join_families(keys, "[", "]")
     idx = cat.identity[x]
-    evaluation = {}
-    for nt in nats:
-        key = setcalc.serialize_components(nt)
-        evaluation[key] = nt[x].mapping[idx]
+    evaluation = {names[key]: nt[x].mapping[idx] for key, nt in zip(keys, nats)}
     values = list(evaluation.values())
     if len(set(values)) != len(values) or set(values) != set(
         diagram.values[x].elements

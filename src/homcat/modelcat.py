@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .errors import CapExceeded, SchemaError
-from .fincat import FinCategory, FinFunctor, Mor, UnionFind
+from .fincat import FinCategory, FinFunctor, Mor, UnionFind, join_names
 
 
 # -- marked categories -------------------------------------------------------
@@ -149,15 +149,6 @@ def _rewrites(t: _Letters, word: tuple):
             yield word[:k] + (b,) + word[k + 1:]
 
 
-def _letter_label(letter: tuple[str, str]) -> str:
-    kind, name = letter
-    return name if kind == "m" else f"{name}^-1"
-
-
-def _word_label(t: _Letters, word: tuple) -> str:
-    return "*".join(_letter_label(t.pairs[a]) for a in word)
-
-
 @dataclass
 class Localization:
     category: FinCategory
@@ -264,11 +255,14 @@ def localize(marked: MarkedCategory, cap: int = 20000) -> Localization:
     def rep_of(kind: str, name: str) -> int:
         return find(index[(t.pairs.index((kind, name)),)])
 
-    names = {}
-    for x in cat.objects:
-        names[rep_of("m", cat.identity[x])] = f"id_{x}"
+    # a letter is named (name,) or (name, "-1") on '^', a word on '*'
+    keys = [(n,) if k == "m" else (n, "-1") for k, n in t.pairs]
+    label = join_names(keys, "^")
+    spell = {r: tuple(label[keys[a]] for a in words[r]) for r in reps}
+    spelled = join_names(spell.values(), "*")
+    names = {rep_of("m", cat.identity[x]): f"id_{x}" for x in cat.objects}
     for rep in reps:
-        names.setdefault(rep, _word_label(t, words[rep]))
+        names.setdefault(rep, spelled[spell[rep]])
     morphisms = [
         Mor(names[rep], t.src[words[rep][0]], t.dst[words[rep][-1]]) for rep in reps
     ]

@@ -20,7 +20,7 @@ from .errors import (
     NotUniversal,
     SchemaError,
 )
-from .fincat import FinCategory, FinFunctor, Mor, join_names, opposite
+from .fincat import FinCategory, FinFunctor, Mor, join_families, join_names, opposite
 from .fincat import quotient as _quotient  # perfbench/tracing.py wraps this name
 
 
@@ -29,7 +29,7 @@ class FinSetRep:
     """A named finite set of distinct elements.
 
     The elements are strings; sets the engine builds from tuples of them
-    (products, tagged unions, pairs) name each tuple with
+    (products, tagged unions, pairs, families) name each tuple with
     :func:`~homcat.fincat.join_names`.  Only the image sets inside
     :func:`limit` and :func:`end_cone` hold tuples.
     """
@@ -464,13 +464,13 @@ def diagram_nat_trans(
     return found
 
 
-def serialize_components(components: dict[str, FinFunction]) -> str:
-    parts = []
-    for x in sorted(components):
-        fn = components[x]
-        inner = ",".join(f"{k}>{fn.mapping[k]}" for k in fn.source.elements)
-        parts.append(f"{x}[{inner}]")
-    return ";".join(parts)
+def transformation_key(components: dict[str, FinFunction]) -> tuple:
+    """A natural transformation as the family ``((x, ((k, v), ...)), ...)``,
+    sorted by object, for :func:`~homcat.fincat.join_families`."""
+    return tuple(
+        (x, tuple((k, fn.mapping[k]) for k in fn.source.elements))
+        for x, fn in sorted(components.items())
+    )
 
 
 # -- Kan extensions ------------------------------------------------------
@@ -553,14 +553,11 @@ def ran(f: Diagram, i: FinFunctor) -> Diagram:
     if f.shape.objects != a_cat.objects:
         raise EndpointMismatch("diagram shape must be the functor's source")
 
-    def family_token(fam: dict[str, dict[str, str]]) -> str:
-        parts = []
-        for y in a_cat.objects:
-            inner = ",".join(f"{m}>{v}" for m, v in sorted(fam[y].items()))
-            parts.append(f"{y}{{{inner}}}")
-        return ";".join(parts)
+    def family_key(fam: dict[str, dict[str, str]]) -> tuple:
+        return tuple((y, tuple(sorted(fam[y].items()))) for y in a_cat.objects)
 
     pointwise: dict[str, list[dict]] = {}
+    names: dict[str, dict[tuple, str]] = {}
     values: dict[str, FinSetRep] = {}
     for x in c_cat.objects:
         choices = []
@@ -588,18 +585,13 @@ def ran(f: Diagram, i: FinFunctor) -> Diagram:
             if ok:
                 families.append(fam)
         pointwise[x] = families
-        values[x] = FinSetRep(
-            f"Ran({x})", tuple(family_token(fam) for fam in families)
-        )
+        names[x] = join_families([family_key(fam) for fam in families], "{", "}")
+        values[x] = FinSetRep(f"Ran({x})", tuple(names[x].values()))
 
-    token_index = {
-        x: {family_token(fam): fam for fam in pointwise[x]} for x in c_cat.objects
-    }
     arrows = {}
     for g in c_cat.morphisms:  # g: X -> X'
         mapping = {}
-        for tok in values[g.src].elements:
-            fam = token_index[g.src][tok]
+        for fam in pointwise[g.src]:
             moved = {
                 y: {
                     m: fam[y][c_cat.compose(m, g.name)]
@@ -607,7 +599,7 @@ def ran(f: Diagram, i: FinFunctor) -> Diagram:
                 }
                 for y in a_cat.objects
             }
-            mapping[tok] = family_token(moved)
+            mapping[names[g.src][family_key(fam)]] = names[g.dst][family_key(moved)]
         arrows[g.name] = FinFunction(values[g.src], values[g.dst], mapping)
     result = Diagram(c_cat, values, arrows)
     result.validate()
@@ -650,7 +642,7 @@ def check_kan_universal(l: Diagram, f: Diagram, i: FinFunctor) -> dict:
     for gname, g in kan_test_functors(l.shape, l, f, i):
         nat_l = diagram_nat_trans(l, g)
         nat_f = diagram_nat_trans(f, restrict_diagram(g, i))
-        keys_f = {serialize_components(nt) for nt in nat_f}
+        keys_f = {transformation_key(nt) for nt in nat_f}
         still = []
         for idx in survivors:
             u = candidates[idx]
@@ -660,7 +652,7 @@ def check_kan_universal(l: Diagram, f: Diagram, i: FinFunctor) -> dict:
                 induced = {
                     y: u[y].then(xi[i.on_obj(y)]) for y in i.source.objects
                 }
-                key = serialize_components(induced)
+                key = transformation_key(induced)
                 if key in images or key not in keys_f:
                     ok = False
                     break
@@ -675,7 +667,8 @@ def check_kan_universal(l: Diagram, f: Diagram, i: FinFunctor) -> dict:
                 witness=gname,
                 counts=report[gname],
             )
-    return {"unit": serialize_components(candidates[survivors[0]]), "tests": report}
+    unit = transformation_key(candidates[survivors[0]])
+    return {"unit": join_families([unit], "[", "]")[unit], "tests": report}
 
 
 # -- JSON ----------------------------------------------------------------

@@ -197,9 +197,6 @@ class SimplicialSet:
 
     # -- structure ---------------------------------------------------------
 
-    def has_cell(self, dim: int, name: str) -> bool:
-        return (dim, name) in self._index
-
     def ref_dim(self, ref: CellRef) -> int:
         """Dimension of a reference; the base dimension is recovered from
         the cell tables."""
@@ -679,21 +676,19 @@ def nerve_eg(
         missing = sorted(set(elements) - set(inverse))
         raise NotAGroup("an element has no inverse", witness=missing[0])
 
-    def arrow(a: str, b: str) -> str:
-        return f"({a}->{b})"
-
-    mors = [Mor(arrow(a, b), a, b) for a in elements for b in elements if a != b]
+    arrow = join_names(
+        [(a, b) for a in elements for b in elements if a != b], "->", "(", ")"
+    )
+    mors = [Mor(name, a, b) for (a, b), name in arrow.items()]
     mors += [Mor(f"id_{a}", a, a) for a in elements]
     identity = {a: f"id_{a}" for a in elements}
-
-    def arrow_or_id(a: str, b: str) -> str:
-        return identity[a] if a == b else arrow(a, b)
+    arrow.update({(a, a): identity[a] for a in elements})
 
     table = {}
     for a in elements:
         for b in elements:
             for c in elements:
-                table[(arrow_or_id(b, c), arrow_or_id(a, b))] = arrow_or_id(a, c)
+                table[(arrow[b, c], arrow[a, b])] = arrow[a, c]
     eg_cat = FinCategory(list(elements), mors, table, identity)
     eg = nerve(eg_cat, max_dim)
     bg_cat = classifying_category(op_table, elements, unit)
@@ -801,10 +796,6 @@ def classify(
 # -- products ----------------------------------------------------------------
 
 
-def _pair_name(a: CellRef, b: CellRef) -> str:
-    return f"({a.serialize()},{b.serialize()})"
-
-
 def _shared_degeneracies(
     x: SimplicialSet, y: SimplicialSet, a: CellRef, b: CellRef, dim: int
 ) -> tuple[CellRef, CellRef, tuple[int, ...]]:
@@ -846,24 +837,31 @@ def product_sset(x: SimplicialSet, y: SimplicialSet) -> tuple[
     proj_x: dict[tuple[int, str], CellRef] = {}
     proj_y: dict[tuple[int, str], CellRef] = {}
 
+    # the jointly degenerate pairs are stored symbolically
+    pairs = [
+        (n, a, b)
+        for n in range(max_dim + 1)
+        for a in x.all_cells(n)
+        for b in y.all_cells(n)
+        if not set(a.word) & set(b.word)
+    ]
+    names = join_names(
+        [(a.serialize(), b.serialize()) for _, a, b in pairs], ",", "(", ")"
+    )
+
     def normal_pair(a: CellRef, b: CellRef, dim: int) -> CellRef:
         a2, b2, shared = _shared_degeneracies(x, y, a, b, dim)
-        return CellRef(_pair_name(a2, b2), shared)
+        return CellRef(names[a2.serialize(), b2.serialize()], shared)
 
-    for n in range(max_dim + 1):
-        for a in x.all_cells(n):
-            for b in y.all_cells(n):
-                if set(a.word) & set(b.word):
-                    continue  # jointly degenerate; stored symbolically
-                name = _pair_name(a, b)
-                cells[n].append(name)
-                proj_x[(n, name)] = a
-                proj_y[(n, name)] = b
-                if n > 0:
-                    faces[(n, name)] = tuple(
-                        normal_pair(x.face(a, i), y.face(b, i), n - 1)
-                        for i in range(n + 1)
-                    )
+    for n, a, b in pairs:
+        name = names[a.serialize(), b.serialize()]
+        cells[n].append(name)
+        proj_x[(n, name)] = a
+        proj_y[(n, name)] = b
+        if n > 0:
+            faces[(n, name)] = tuple(
+                normal_pair(x.face(a, i), y.face(b, i), n - 1) for i in range(n + 1)
+            )
     prod = SimplicialSet(max_dim, cells, faces)
     prod.validate()
     px = SimplicialMap(prod, x, proj_x)

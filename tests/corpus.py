@@ -245,6 +245,21 @@ def random_diagram(rng: random.Random, shape=None, max_set=3, min_set=0) -> Diag
     return diagram_from_tables(shape, sets, functions)
 
 
+# the characters the engine joins user names on
+CLASH_CHARS = "a,>{}[];*^-1()\\"
+
+
+def clash_names(rng: random.Random, count: int, max_len: int = 3) -> list[str]:
+    """``count`` distinct names of one to ``max_len`` characters drawn from
+    :data:`CLASH_CHARS`."""
+    names: list[str] = []
+    while len(names) < count:
+        name = "".join(rng.choice(CLASH_CHARS) for _ in range(rng.randint(1, max_len)))
+        if name not in names:
+            names.append(name)
+    return names
+
+
 def seeded_surfaces(seed: int) -> list[SimplicialSet]:
     """The benchmark's seeded surfaces, as ``perfbench/inputs.py`` names
     them for ``seed``: the boundary of the tetrahedron, the torus, RP²."""

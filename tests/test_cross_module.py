@@ -19,32 +19,42 @@ from homcat.simplicial import (
     product_sset,
     standard_simplex,
 )
-from homcat.subdivision import last_vertex, sd
+from homcat.subdivision import ex, last_vertex, sd
 
 import corpus
 from test_homotopy import torus_triangulation
 from test_simplicial import s1_model, wedge_of_circles
 
 
+# the weak equivalences sd X → X (last vertex) and X → Ex X (unit) must
+# keep π₀ and the abelianized π₁
+WEAK_EQUIVALENCE_CASES = [
+    (s1_model, (1, ())),
+    (wedge_of_circles, (2, ())),
+    (lambda: boundary(2), (1, ())),
+    (torus_triangulation, (2, ())),
+    (lambda: horn(2, 0), (0, ())),
+    (lambda: horn(2, 1), (0, ())),
+]
+
+
 def test_subdivision_preserves_components():
-    for build in [s1_model, wedge_of_circles, lambda: boundary(2)]:
+    for build, _ in WEAK_EQUIVALENCE_CASES:
         x = build()
-        assert len(pi0(sd(x).complex)) == len(pi0(x))
+        assert len(pi0(sd(x).complex)) == len(pi0(ex(x).complex)) == len(pi0(x))
     two = nerve(corpus.discrete(2), 2)
     assert len(pi0(sd(two).complex)) == 2
 
 
 def test_subdivision_preserves_fundamental_group_abelianization():
-    cases = [
-        (s1_model(), (1, ())),
-        (wedge_of_circles(), (2, ())),
-        (boundary(3), (0, ())),
-        (torus_triangulation(), (2, ())),
-    ]
-    for x, expected in cases:
-        assert abelian_invariants(pi1(x, x.cells[0][0])) == expected
-        sdx = sd(x).complex
-        assert abelian_invariants(pi1(sdx, sdx.cells[0][0])) == expected
+    for build, expected in WEAK_EQUIVALENCE_CASES:
+        x = build()
+        for y in (x, sd(x).complex, ex(x).complex):
+            assert abelian_invariants(pi1(y, y.cells[0][0])) == expected
+    # sd only: Ex ∂Δ³ takes more than the default 10⁶ candidates
+    x = boundary(3)
+    for y in (x, sd(x).complex):
+        assert abelian_invariants(pi1(y, y.cells[0][0])) == (0, ())
 
 
 def test_subdivision_of_torus_has_barycentric_counts():

@@ -460,3 +460,38 @@ def test_join_names_is_injective_on_random_keys():
         ))
         names = join_names(keys, "|")
         assert len(set(names.values())) == len(keys)
+
+
+def test_product_category_names_pairs_that_plain_joins_merge():
+    # joined plainly, (a,b , c) and (a , b,c) are both (a,b,c)
+    c = validate_category({"objects": ["a,b", "a"], "morphisms": [], "compose": []})
+    d = validate_category({"objects": ["c", "b,c"], "morphisms": [], "compose": []})
+    p = product_category(c, d)
+    p.validate()
+    assert p.objects == ["(a\\,b,c)", "(a\\,b,b\\,c)", "(a,c)", "(a,b\\,c)"]
+    assert p.identity["(a,b\\,c)"] == "(id_a,id_b,c)"
+
+
+def test_product_category_names_are_injective_on_clashing_names():
+    rng = random.Random(4409)
+    for _ in range(100):
+        x, y, z, f, g, *extras = corpus.clash_names(rng, rng.randint(5, 7))
+        # joined plainly, (x,y , z) and (x , y,z) are the same string
+        left = [f"{x},{y}", x] + extras[:1]
+        right = [z, f"{y},{z}"] + extras[1:]
+        rng.shuffle(left)
+        rng.shuffle(right)
+        factors = [
+            validate_category(
+                {
+                    "objects": objects,
+                    "morphisms": [{"name": m, "src": objects[0], "dst": objects[1]}],
+                    "compose": [],
+                }
+            )
+            for objects, m in ((left, f), (right, g))
+        ]
+        p = product_category(*factors)
+        p.validate()  # rejects a repeated object or morphism name
+        assert len(set(p.objects)) == len(left) * len(right)
+        assert len({m.name for m in p.morphisms}) == (len(left) + 1) * (len(right) + 1)

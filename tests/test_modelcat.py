@@ -1,12 +1,20 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
 from homcat import modelcat
 from homcat.errors import CapExceeded, SchemaError
-from homcat.fincat import FinCategory, FinFunctor, Mor, enumerate_functors, partition
+from homcat.fincat import (
+    FinCategory,
+    FinFunctor,
+    Mor,
+    enumerate_functors,
+    partition,
+    validate_category,
+)
 from homcat.modelcat import (
     Localization,
     MarkedCategory,
@@ -558,3 +566,55 @@ def test_model_json_roundtrip_and_schema():
     assert "f" in model.weq and "id_A" in model.fib
     with pytest.raises(SchemaError):
         model_from_json({**raw, "extra": 1})
+
+
+# -- names built from user names that plain joins would merge ----------------
+
+
+def test_localize_names_a_morphism_spelled_like_a_formal_inverse():
+    # joined plainly, the formal inverse of f and the morphism f^-1 are both f^-1
+    cat = validate_category(
+        {
+            "objects": ["A", "B", "C"],
+            "morphisms": [
+                {"name": "f", "src": "A", "dst": "B"},
+                {"name": "f^-1", "src": "B", "dst": "C"},
+                {"name": "k", "src": "A", "dst": "C"},
+            ],
+            "compose": [["f^-1", "f", "k"]],
+        }
+    )
+    loc = localize(saturate_two_of_three(cat, ["f"]))
+    assert [m.name for m in loc.category.morphisms] == [
+        "f^-1", "f", "f\\^-1", "id_A", "id_B", "id_C", "k"
+    ]
+    assert loc.projection.on_mor("f^-1") == "f\\^-1"
+    assert loc.category.compose("f^-1", "f") == "id_A"
+    assert loc.category.compose("f\\^-1", "f") == "k"
+
+
+def test_localize_names_are_injective_on_clashing_names():
+    rng = random.Random(2207)
+    clashes = 0
+    for _ in range(30):
+        a, b, c, d, e, f, h, other = corpus.clash_names(rng, 8)
+        # with h marked, the localization adds the letter h^-1 and the word
+        # f*h^-1: A → C; k may spell either of them
+        k = rng.choice([f"{h}^-1", f"{f}*{h}^-1", other])
+        cat = validate_category(
+            {
+                "objects": [a, b, c, d, e],
+                "morphisms": [
+                    {"name": f, "src": a, "dst": b},
+                    {"name": h, "src": c, "dst": b},
+                    {"name": k, "src": d, "dst": e},
+                ],
+                "compose": [],
+            }
+        )
+        loc = localize(saturate_two_of_three(cat, [h]))  # validate rejects repeats
+        names = [m.name for m in loc.category.morphisms]
+        assert len(set(names)) == len(names) == 10
+        assert loc.category.is_iso(loc.projection.on_mor(h))
+        clashes += k in (f"{h}^-1", f"{f}*{h}^-1")
+    assert clashes >= 10

@@ -522,30 +522,44 @@ def test_end_of_first_constant_bifunctor_is_limit_of_diagonal():
         assert len(end(h)) == len(limit(cov).apex)
 
 
+def product_pairs(p_cat, c_cat, pc) -> tuple[dict, dict]:
+    """The names that the product category ``pc`` = p×c gives each pair of
+    objects and each pair of morphisms, read off its own object and
+    morphism lists (both in lexicographic pair order)."""
+    mor_names = [[m.name for m in cat.morphisms] for cat in (p_cat, c_cat)]
+    pair_obj = dict(zip(itertools.product(p_cat.objects, c_cat.objects), pc.objects))
+    pair_mor = dict(
+        zip(itertools.product(*mor_names), (m.name for m in pc.morphisms))
+    )
+    for (p, x), name in pair_obj.items():
+        assert pc.identity[name] == pair_mor[p_cat.identity[p], c_cat.identity[x]]
+    return pair_obj, pair_mor
+
+
 def double_end(big: Bifunctor, p_cat, c_cat, inner: str) -> int:
     """|∫_outer ∫_inner H| for H over the product category p×c.
 
     ``inner`` names which factor is integrated first ("p" or "c").
     """
-    from homcat.fincat import pair_mor, pair_obj
+    pair_obj, pair_mor = product_pairs(p_cat, c_cat, big.shape)
 
     if inner == "c":
         outer_cat, inner_cat = p_cat, c_cat
 
         def val(po, qo, xo, yo):
-            return big.value(pair_obj(po, xo), pair_obj(qo, yo))
+            return big.value(pair_obj[po, xo], pair_obj[qo, yo])
 
         def act(a, b, f, g):
-            return big.action(pair_mor(a, f), pair_mor(b, g))
+            return big.action(pair_mor[a, f], pair_mor[b, g])
 
     else:
         outer_cat, inner_cat = c_cat, p_cat
 
         def val(po, qo, xo, yo):
-            return big.value(pair_obj(xo, po), pair_obj(yo, qo))
+            return big.value(pair_obj[xo, po], pair_obj[yo, qo])
 
         def act(a, b, f, g):
-            return big.action(pair_mor(f, a), pair_mor(g, b))
+            return big.action(pair_mor[f, a], pair_mor[g, b])
 
     cones = {}
     for po in outer_cat.objects:
@@ -596,11 +610,9 @@ def double_end(big: Bifunctor, p_cat, c_cat, inner: str) -> int:
 
 def big_product_bifunctor(p_cat, c_cat, contra_p, cov_p, contra_c, cov_c):
     """H((p,x),(q,y)) = contra_p(p)×cov_p(q)×contra_c(x)×cov_c(y)."""
-    from homcat.fincat import pair_mor, pair_obj
-
     pc = product_category(p_cat, c_cat)
-    pair = {pair_mor(f.name, g.name): (f.name, g.name)
-            for f in p_cat.morphisms for g in c_cat.morphisms}
+    pair_obj, pair_mor = product_pairs(p_cat, c_cat, pc)
+    pair = {name: fg for fg, name in pair_mor.items()}
     parts = {}
     values = {}
     for p in p_cat.objects:
@@ -615,7 +627,7 @@ def big_product_bifunctor(p_cat, c_cat, contra_p, cov_p, contra_c, cov_c):
                         for d in cov_c.values[y].elements
                     }
                     parts.update(toks)
-                    values[(pair_obj(p, x), pair_obj(q, y))] = FinSetRep(
+                    values[(pair_obj[p, x], pair_obj[q, y])] = FinSetRep(
                         f"H({p},{x};{q},{y})", tuple(toks)
                     )
     actions = {}
@@ -877,3 +889,85 @@ def test_limit_compares_morphism_components_as_tuples():
     )
     assert same_families(limit(d), ["*"], limit_oracle(d))
     assert limit(d).apex.elements == ("(a)",)
+
+
+# -- names built from user names that plain joins would merge ----------------
+
+
+def idempotent_diagram(obj: str, e: str, elements: list, images: list) -> Diagram:
+    """F on the one-object category ``obj`` with one idempotent ``e``."""
+    cat = fincat.validate_category(
+        {
+            "objects": [obj],
+            "morphisms": [{"name": e, "src": obj, "dst": obj}],
+            "compose": [[e, e, e]],
+        }
+    )
+    return corpus.diagram_from_tables(
+        cat, {obj: elements}, {e: dict(zip(elements, images))}
+    )
+
+
+def test_ran_names_families_that_plain_joins_merge():
+    # joined plainly, the families at p and at y,id_A>p are both
+    # A{e>x,id_A>y,id_A>p}
+    elements = ["p", "y,id_A>p", "x,id_A>y", "x"]
+    d = idempotent_diagram("A", "e", elements, ["x,id_A>y", "x", "x,id_A>y", "x"])
+    r = ran(d, identity_functor(d.shape))
+    at_p, at_xy, at_yp, at_x = r.values["A"].elements
+    assert (at_p, at_xy, at_yp, at_x) == (
+        "A{e>x\\,id_A>y,id_A>p}",
+        "A{e>x\\,id_A>y,id_A>x\\,id_A>y}",
+        "A{e>x,id_A>y\\,id_A>p}",
+        "A{e>x,id_A>x}",
+    )
+    assert r.arrows["e"].mapping == {
+        at_p: at_xy, at_xy: at_xy, at_yp: at_x, at_x: at_x
+    }
+
+
+def test_ran_names_are_injective_on_clashing_names():
+    rng = random.Random(1103)
+    for _ in range(150):
+        obj, e, x, y, z, *extras = corpus.clash_names(rng, rng.randint(5, 8))
+        ident = f"id_{obj}"
+        # Ran F ≅ F along the identity, the family at v being e ↦ F(e)v,
+        # id ↦ v, with its two pairs in name order.  Joined plainly, the
+        # families at v1 and v2 below are the same string.
+        if e < ident:
+            s = f",{ident}>"
+            (a1, v1), (a2, v2) = (x, y + s + z), (x + s + y, z)
+        else:
+            s = f",{e}>"
+            (v1, a1), (v2, a2) = (x, y + s + z), (x + s + y, z)
+        image = {a1: a1, a2: a2, v1: a1, v2: a2}
+        if len(image) < 4:
+            continue
+        for v in extras:
+            image[v] = rng.choice([v, a1, a2])
+        elements = list(image)
+        rng.shuffle(elements)
+        d = idempotent_diagram(obj, e, elements, [image[v] for v in elements])
+        r = ran(d, identity_functor(d.shape))  # raises on a repeated name
+        names = r.values[obj].elements
+        assert len(set(names)) == len(elements)
+        fixed = sum(image[v] == v for v in elements)
+        assert sum(r.arrows[e](n) == n for n in names) == fixed
+        plain = {
+            f"{obj}{{" + ",".join(f"{m}>{w}" for m, w in sorted(
+                [(e, image[v]), (ident, v)]
+            )) + "}"
+            for v in elements
+        }
+        assert len(plain) < len(elements)
+
+
+def test_kan_universal_tells_transformations_apart_by_components():
+    # joined plainly, the identity of {b,b>b, b} and the swap are both
+    # *[b,b>b>b,b>b,b>b]
+    t = corpus.terminal_category()
+    units = []
+    for elements in (["b,b>b", "b"], ["p", "q"]):
+        d = corpus.diagram_from_tables(t, {"*": elements}, {})
+        units.append(check_kan_universal(d, d, identity_functor(t))["unit"])
+    assert units == ["*[b,b>b>b,b>b,b>b]", "*[p>p,q>q]"]

@@ -678,3 +678,73 @@ def test_product_vertices_multiply():
     # levelwise the product has exactly the pairs, degenerate or not
     for n in range(3):
         assert prod.n_cells_total(n) == x.n_cells_total(n) * y.n_cells_total(n)
+
+
+# -- names built from user names that plain joins would merge ----------------
+
+
+def cyclic_table(elements: list[str]) -> dict:
+    """Z/n on ``elements``, the k-th element being k and the first the unit."""
+    n = len(elements)
+    return {
+        (g, h): elements[(i + j) % n]
+        for i, g in enumerate(elements)
+        for j, h in enumerate(elements)
+    }
+
+
+def interval(v0: str, v1: str, e: str) -> SimplicialSet:
+    x = SimplicialSet(1, {0: [v0, v1], 1: [e]}, {(1, e): (CellRef(v1), CellRef(v0))})
+    x.validate()
+    return x
+
+
+def test_product_sset_names_pairs_that_plain_joins_merge():
+    # joined plainly, (a,b , c) and (a , b,c) are both (a,b,c)
+    x = SimplicialSet(0, {0: ["a,b", "a"]}, {})
+    y = SimplicialSet(0, {0: ["c", "b,c"]}, {})
+    prod, px, py = product_sset(x, y)
+    assert prod.cells[0] == ["(a\\,b,c)", "(a\\,b,b\\,c)", "(a,c)", "(a,b\\,c)"]
+    assert px.apply(CellRef("(a,b\\,c)")) == CellRef("a")
+    assert py.apply(CellRef("(a,b\\,c)")) == CellRef("b,c")
+
+
+def test_product_sset_names_are_injective_on_clashing_names():
+    rng = random.Random(5501)
+    for _ in range(100):
+        x, y, z, e1, e2 = corpus.clash_names(rng, 5)
+        # joined plainly, (x,y , z) and (x , y,z) are the same string
+        left = [f"{x},{y}", x]
+        right = [z, f"{y},{z}"]
+        rng.shuffle(left)
+        rng.shuffle(right)
+        prod, _, _ = product_sset(interval(*left, e1), interval(*right, e2))
+        # validate rejects a reused name; Δ¹ × Δ¹ to dimension 1 has the 4
+        # vertex pairs and 5 of its 9 edge pairs nondegenerate
+        assert prod.counts() == (4, 5)
+
+
+def test_nerve_eg_names_arrows_that_plain_joins_merge():
+    # joined plainly, x → y->z and x->y → z are both (x->y->z)
+    elements = ["e", "x", "y->z", "x->y", "z"]
+    eg, bg, _ = nerve_eg(cyclic_table(elements), elements, "e", 2)
+    assert {"(x\\-\\>y->z)", "(x->y\\-\\>z)"} <= set(eg.cells[1])
+    assert eg.counts() == (5, 20, 80)
+    assert bg.counts() == (1, 4, 16)
+
+
+def test_nerve_eg_names_are_injective_on_clashing_names():
+    rng = random.Random(6607)
+    for _ in range(60):
+        # one-character pieces keep every element shorter than an arrow
+        # name, and the element * is put first, as the unit: a non-unit *
+        # would be a 1-cell of BG named like its one object
+        x, y, z, *extras = corpus.clash_names(rng, rng.randint(3, 4), max_len=1)
+        # joined plainly, x → y->z and x->y → z are the same string
+        elements = [f"{x}->{y}", z, x, f"{y}->{z}"] + extras
+        rng.shuffle(elements)
+        elements.sort(key=lambda g: g != "*")
+        n = len(elements)
+        # the projection validates, and the nerves reject a reused name
+        eg, _, _ = nerve_eg(cyclic_table(elements), elements, elements[0], 2)
+        assert eg.counts() == (n, n * (n - 1), n * (n - 1) ** 2)
