@@ -177,10 +177,9 @@ def pi1(x: SimplicialSet, base: str) -> GroupPresentation:
         return (gen_index[ref.base],)
 
     for name in x.cells[2]:
-        corner = x.face(x.face(CellRef(name, ()), 0), 0).base
-        if corner not in in_component:
+        d0, d1, d2 = x.faces[(2, name)]
+        if x.faces_of(d0.base, d0.word)[0][0] not in in_component:  # d0 d0: the corner
             continue
-        d0, d1, d2 = (x.faces[(2, name)][i] for i in range(3))
         word = free_reduce(letter(d2) + letter(d0) + invert_word(letter(d1)))
         if word:
             relators.append(word)

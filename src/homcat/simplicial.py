@@ -189,10 +189,10 @@ class SimplicialSet:
         self._base_dims = {
             name: n for n in self.cells for name in self.cells[n]
         }
-        self._face_cache: dict[tuple[CellRef, int], CellRef] = {}
+        # (base, word) → the faces of that cell as (base, word) pairs
+        self._face_memo: dict[tuple[str, tuple[int, ...]], tuple] = {}
         self._face_index: dict[
-            tuple[int, tuple[int, ...]],
-            dict[tuple[CellRef, ...], tuple[CellRef, ...]],
+            tuple[int, tuple[int, ...]], dict[tuple, tuple[CellRef, ...]]
         ] = {}
 
     # -- structure ---------------------------------------------------------
@@ -210,20 +210,35 @@ class SimplicialSet:
 
     def face(self, ref: CellRef, i: int) -> CellRef:
         """d_i of a cell reference, in normal form."""
-        cached = self._face_cache.get((ref, i))
-        if cached is not None:
-            return cached
-        base_dim = self.base_dim(ref)
-        dim = base_dim + len(ref.word)
+        dim = self.base_dim(ref) + len(ref.word)
         if dim == 0 or not 0 <= i <= dim:
             raise IndexOutOfRange(f"face index {i} out of range for dim {dim}", i=i)
-        word2, j = face_through_word(ref.word, i)
-        if j is None:
-            out = CellRef(ref.base, word2)
-        else:
-            inner = self.faces[(base_dim, ref.base)][j]
-            out = CellRef(inner.base, normalize_word(list(word2) + list(inner.word)))
-        self._face_cache[(ref, i)] = out
+        return CellRef(*self.faces_of(ref.base, ref.word)[i])
+
+    def faces_of(self, base: str, word: tuple[int, ...]) -> tuple:
+        """d_0, …, d_n of the n-cell ``word`` applied to ``base`` (a normal
+        form), as plain ``(base, word)`` pairs in normal form.
+
+        Memoized per cell and filled on first use from ``faces``; the keys
+        and values are tuples of strings and ints, so a lookup hashes no
+        :class:`CellRef`.
+        """
+        out = self._face_memo.get((base, word))
+        if out is None:
+            base_dim = self._base_dims[base]
+            if not word:
+                out = tuple((r.base, r.word) for r in self.faces.get((base_dim, base), ()))
+            else:
+                pairs = []
+                for i in range(base_dim + len(word) + 1):
+                    word2, j = face_through_word(word, i)
+                    if j is None:
+                        pairs.append((base, word2))
+                    else:
+                        inner = self.faces[(base_dim, base)][j]
+                        pairs.append((inner.base, normalize_word(word2 + inner.word)))
+                out = tuple(pairs)
+            self._face_memo[(base, word)] = out
         return out
 
     def degeneracy(self, ref: CellRef, i: int) -> CellRef:
@@ -261,13 +276,16 @@ class SimplicialSet:
         positions = tuple(sorted(wanted))
         index = self._face_index.get((n, positions))
         if index is None:
-            buckets: dict[tuple[CellRef, ...], list[CellRef]] = {}
-            for z in self.all_cells(n):
-                key = tuple(self.face(z, i) for i in positions)
-                buckets.setdefault(key, []).append(z)
+            cells = self.all_cells(n)
+            for i in positions if cells else ():
+                self.face(cells[0], i)  # a position out of range raises here
+            buckets: dict[tuple, list[CellRef]] = {}
+            for z in cells:
+                faces = self.faces_of(z.base, z.word) if positions else ()
+                buckets.setdefault(tuple(faces[i] for i in positions), []).append(z)
             index = {key: tuple(zs) for key, zs in buckets.items()}
             self._face_index[(n, positions)] = index
-        return index.get(tuple(wanted[i] for i in positions), ())
+        return index.get(tuple((wanted[i].base, wanted[i].word) for i in positions), ())
 
     def n_cells_total(self, n: int) -> int:
         return sum(comb(n, m) * len(self.cells[m]) for m in range(n + 1))
@@ -294,7 +312,7 @@ class SimplicialSet:
             for ref in refs:
                 if self.base_dim(ref) + len(ref.word) != n - 1:
                     raise SchemaError(f"face of {name!r} has wrong dimension")
-                if normalize_word(ref.word) != ref.word:
+                if ref.word and normalize_word(ref.word) != ref.word:
                     raise SchemaError(f"face reference of {name!r} not normalized")
         for n in range(1, self.max_dim + 1):
             for name in self.cells[n]:
@@ -303,12 +321,10 @@ class SimplicialSet:
         # simplicial identities d_i d_j = d_{j-1} d_i for i < j
         for n in range(2, self.max_dim + 1):
             for name in self.cells[n]:
-                ref = CellRef(name, ())
+                below = [self.faces_of(r.base, r.word) for r in self.faces[(n, name)]]
                 for j in range(1, n + 1):
                     for i in range(j):
-                        lhs = self.face(self.face(ref, j), i)
-                        rhs = self.face(self.face(ref, i), j - 1)
-                        if lhs != rhs:
+                        if below[j][i] != below[i][j - 1]:
                             raise InvalidStructure(
                                 f"simplicial identity fails on {name!r}: "
                                 f"d{i} d{j} != d{j - 1} d{i}"
@@ -545,12 +561,18 @@ def apply_delta_ref(x: SimplicialSet, ref: CellRef, dmap: DeltaMap) -> CellRef:
 # -- nerves -----------------------------------------------------------------
 
 
-def nerve_chains(cat: FinCategory, max_dim: int) -> dict[tuple[str, ...], str]:
-    """The nondegenerate cells of the nerve above dimension 0: composable
-    chains of non-identity morphisms, at most ``max_dim`` long, by length,
-    each beside its cell name.  Chains of every length are named in one
-    :func:`join_names` call on '|', so a chain never takes the name of a
-    single morphism."""
+def nerve_names(
+    cat: FinCategory, max_dim: int
+) -> tuple[dict[str, str], dict[tuple[str, ...], str]]:
+    """The nondegenerate cells of the nerve, each beside its cell name: the
+    objects, and the composable chains of non-identity morphisms, at most
+    ``max_dim`` long, by length.
+
+    Chains of every length are named in one :func:`join_names` call on
+    '|', so a chain never takes the name of a single morphism, and the
+    objects keep their own names.  If an object would share its name with
+    a chain, one call names both, each chain keyed behind an empty part,
+    so that no object key is a chain key."""
     nonid = [m for m in cat.morphisms if not cat.is_identity(m.name)]
     level = [(m.name,) for m in nonid] if max_dim >= 1 else []
     chains = list(level)
@@ -560,14 +582,18 @@ def nerve_chains(cat: FinCategory, max_dim: int) -> dict[tuple[str, ...], str]:
             if m.src == cat.dst(prev[-1])
         ]
         chains.extend(level)
-    return join_names(chains, "|")
+    names = join_names(chains, "|")
+    if set(cat.objects) & set(names.values()):
+        both = join_names([(o,) for o in cat.objects] + [("",) + c for c in chains], "|")
+        return {o: both[(o,)] for o in cat.objects}, {c: both[("",) + c] for c in chains}
+    return {o: o for o in cat.objects}, names
 
 
 def chain_to_ref(
-    cat: FinCategory, names: dict[tuple[str, ...], str], chain: tuple[str, ...]
+    cat: FinCategory, names: tuple[dict, dict], chain: tuple[str, ...]
 ) -> CellRef:
     """Normal form of a composable chain: identities stripped off as
-    degeneracies, leftmost first; ``names`` is :func:`nerve_chains` of
+    degeneracies, leftmost first; ``names`` is :func:`nerve_names` of
     ``cat``."""
     word = []
     rest = list(chain)
@@ -579,11 +605,9 @@ def chain_to_ref(
                 break
         else:
             break
-    if not rest:
-        # fully degenerate: base is the source vertex of the original chain
-        base = cat.src(chain[0])
-    else:
-        base = names[tuple(rest)]
+    vertices, chains = names
+    # fully degenerate: the base is the source vertex of the original chain
+    base = chains[tuple(rest)] if rest else vertices[cat.src(chain[0])]
     return CellRef(base, normalize_word(word))
 
 
@@ -591,13 +615,14 @@ def nerve(cat: FinCategory, max_dim: int) -> SimplicialSet:
     """n-cells are composable chains; inner faces compose, outer ones drop.
 
     Nondegenerate chains are exactly those without identities.  The 0-cells
-    are the objects themselves.
+    are the objects, named as :func:`nerve_names` says.
     """
     cells: dict[int, list[str]] = {n: [] for n in range(max_dim + 1)}
     faces = {}
-    cells[0] = list(cat.objects)
-    names = nerve_chains(cat, max_dim)
-    for chain, name in names.items():
+    names = nerve_names(cat, max_dim)
+    vertices, chains = names
+    cells[0] = list(vertices.values())
+    for chain, name in chains.items():
         n = len(chain)
         cells[n].append(name)
         refs = []
@@ -605,12 +630,12 @@ def nerve(cat: FinCategory, max_dim: int) -> SimplicialSet:
             if i == 0:
                 sub = chain[1:]
                 if not sub:
-                    refs.append(CellRef(cat.dst(chain[0]), ()))
+                    refs.append(CellRef(vertices[cat.dst(chain[0])], ()))
                     continue
             elif i == n:
                 sub = chain[:-1]
                 if not sub:
-                    refs.append(CellRef(cat.src(chain[0]), ()))
+                    refs.append(CellRef(vertices[cat.src(chain[0])], ()))
                     continue
             else:
                 sub = (
@@ -629,11 +654,12 @@ def nerve_map(functor, src_nerve: SimplicialSet, dst_nerve: SimplicialSet) -> Si
     """The simplicial map of nerves induced by a functor: chains map
     morphism-wise, with identities normalizing into degeneracies."""
     cat = functor.target
-    names = nerve_chains(cat, dst_nerve.max_dim)
+    names = nerve_names(cat, dst_nerve.max_dim)
+    vertices, chains = nerve_names(functor.source, src_nerve.max_dim)
     cell_map: dict[tuple[int, str], CellRef] = {}
-    for name in src_nerve.cells[0]:
-        cell_map[(0, name)] = CellRef(functor.on_obj(name), ())
-    for chain, name in nerve_chains(functor.source, src_nerve.max_dim).items():
+    for obj, name in vertices.items():
+        cell_map[(0, name)] = CellRef(names[0][functor.on_obj(obj)], ())
+    for chain, name in chains.items():
         image = tuple(functor.on_mor(m) for m in chain)
         cell_map[(len(chain), name)] = chain_to_ref(cat, names, image)
     out = SimplicialMap(src_nerve, dst_nerve, cell_map)
@@ -697,11 +723,12 @@ def nerve_eg(
     def difference(a: str, b: str) -> str:
         return op_table[(inverse[a], b)]
 
-    bg_names = nerve_chains(bg_cat, max_dim)
+    bg_names = nerve_names(bg_cat, max_dim)
+    eg_vertices, eg_chains = nerve_names(eg_cat, max_dim)
     cell_map: dict[tuple[int, str], CellRef] = {}
-    for g in elements:
-        cell_map[(0, g)] = CellRef("*", ())
-    for chain, name in nerve_chains(eg_cat, max_dim).items():
+    for name in eg_vertices.values():
+        cell_map[(0, name)] = CellRef(bg_names[0]["*"], ())
+    for chain, name in eg_chains.items():
         vertices = [eg_cat.src(chain[0])] + [eg_cat.dst(m) for m in chain]
         diffs = tuple(map(difference, vertices, vertices[1:]))
         cell_map[(len(chain), name)] = chain_to_ref(bg_cat, bg_names, diffs)

@@ -29,7 +29,7 @@ from .simplicial import (
     classify,
     enumerate_maps,
     nerve,
-    nerve_chains,
+    nerve_names,
     nerve_map,
     normalize_word,
     standard_simplex,
@@ -151,9 +151,10 @@ def _subset_chains(n: int, max_dim: int):
     subsets of [n] the cell visits."""
     poset = subset_poset(n)
     subset = dict(zip(poset.objects, _subsets(n)))
-    for name in poset.objects:
-        yield (0, name), (subset[name],)
-    for arrows, name in nerve_chains(poset, max_dim).items():
+    vertices, chains = nerve_names(poset, max_dim)
+    for obj, name in vertices.items():
+        yield (0, name), (subset[obj],)
+    for arrows, name in chains.items():
         chain = (poset.src(arrows[0]),) + tuple(poset.dst(a) for a in arrows)
         yield (len(arrows), name), tuple(subset[v] for v in chain)
 
@@ -344,11 +345,11 @@ class SdResult:
             key = (xref.base, top)
             restricted = self._restricted.get(key)
             if restricted is None:
-                restricted = xref
+                cell = (xref.base, ())
                 for i in range(a, -1, -1):  # largest missing vertex first
                     if i not in top:
-                        restricted = self.source.face(restricted, i)
-                self._restricted[key] = restricted
+                        cell = self.source.faces_of(*cell)[i]
+                restricted = self._restricted[key] = CellRef(*cell)
             position = {v: k for k, v in enumerate(top)}
             chain = tuple(tuple(position[v] for v in s) for s in chain)
             a, xref = len(top) - 1, restricted

@@ -6,7 +6,13 @@ import random
 import pytest
 
 from homcat import simplicial
-from homcat.errors import BadIndices, IndexOutOfRange, NotMonotone, SchemaError
+from homcat.errors import (
+    BadIndices,
+    IndexOutOfRange,
+    InvalidStructure,
+    NotMonotone,
+    SchemaError,
+)
 from homcat.simplicial import (
     CellRef,
     DeltaMap,
@@ -409,7 +415,7 @@ def test_nerve_eg_rejects_non_group():
 def test_nerve_names_a_chain_apart_from_the_composite_named_like_it():
     # the chain a, b and its composite a|b would both be named a|b
     from homcat.fincat import identity_functor, validate_category
-    from homcat.simplicial import nerve_chains, nerve_map
+    from homcat.simplicial import nerve_map, nerve_names
 
     cat = validate_category({
         "objects": ["X", "Y", "Z"],
@@ -422,7 +428,7 @@ def test_nerve_names_a_chain_apart_from_the_composite_named_like_it():
     })
     x = nerve(cat, 2)
     assert x.counts() == (3, 3, 1)
-    names = nerve_chains(cat, 2)
+    _, names = nerve_names(cat, 2)
     assert x.face(CellRef(names[("a", "b")]), 1) == CellRef(names[("a|b",)])
     pair = (2, names[("a", "b")])
     assert nerve_map(identity_functor(cat), x, x).cell_map[pair] == CellRef(pair[1])
@@ -737,14 +743,276 @@ def test_nerve_eg_names_are_injective_on_clashing_names():
     rng = random.Random(6607)
     for _ in range(60):
         # one-character pieces keep every element shorter than an arrow
-        # name, and the element * is put first, as the unit: a non-unit *
-        # would be a 1-cell of BG named like its one object
+        # name; a non-unit * is a 1-cell of BG named like its one object
         x, y, z, *extras = corpus.clash_names(rng, rng.randint(3, 4), max_len=1)
         # joined plainly, x → y->z and x->y → z are the same string
         elements = [f"{x}->{y}", z, x, f"{y}->{z}"] + extras
         rng.shuffle(elements)
-        elements.sort(key=lambda g: g != "*")
         n = len(elements)
         # the projection validates, and the nerves reject a reused name
         eg, _, _ = nerve_eg(cyclic_table(elements), elements, elements[0], 2)
         assert eg.counts() == (n, n * (n - 1), n * (n - 1) ** 2)
+
+
+def renamed_category(cat, objects: list[str], morphisms: list[str]):
+    """``cat`` with its objects and its non-identity morphisms renamed, in
+    order, to the given names."""
+    from homcat.fincat import validate_category
+
+    nonid = [m for m in cat.morphisms if not cat.is_identity(m.name)]
+    obj = dict(zip(cat.objects, objects))
+    mor = {m.name: new for m, new in zip(nonid, morphisms)}
+    mor.update({cat.identity[o]: f"id_{new}" for o, new in obj.items()})
+    return validate_category({
+        "objects": objects,
+        "morphisms": [
+            {"name": mor[m.name], "src": obj[m.src], "dst": obj[m.dst]} for m in nonid
+        ],
+        "compose": [
+            [mor[g], mor[f], mor[h]]
+            for (g, f), h in cat.compose_table.items()
+            if not (cat.is_identity(g) or cat.is_identity(f))
+        ],
+    })
+
+
+def test_nerve_names_an_object_apart_from_a_morphism_named_like_it():
+    # the object A and the morphism A: A → B were both the cell name A
+    from homcat.fincat import identity_functor, validate_category
+    from homcat.simplicial import nerve_map, nerve_names
+
+    cat = validate_category({
+        "objects": ["A", "B"],
+        "morphisms": [{"name": "A", "src": "A", "dst": "B"}],
+        "compose": [],
+    })
+    x = nerve(cat, 2)
+    assert x.counts() == (2, 1, 0)
+    vertices, chains = nerve_names(cat, 2)
+    assert x.cells[0] == [vertices["A"], vertices["B"]]
+    assert x.cells[1] == [chains[("A",)]]
+    edge = CellRef(chains[("A",)])
+    assert [x.face(edge, i) for i in range(2)] == [
+        CellRef(vertices["B"]), CellRef(vertices["A"])
+    ]
+    nerve_map(identity_functor(cat), x, x)  # validates
+
+
+def test_nerve_eg_accepts_an_element_named_like_bgs_one_object():
+    # BG's one object is *, and the element * was a 1-cell of BG named * too
+    eg, bg, _ = nerve_eg(cyclic_table(["e", "*"]), ["e", "*"], "e", 2)
+    assert eg.counts() == (2, 2, 2)
+    assert bg.counts() == (1, 1, 1)
+    assert bg.cells[0][0] not in bg.cells[1]
+    # without a clash BG's vertex keeps its name
+    _, bg, _ = nerve_eg(cyclic_table(["e", "a"]), ["e", "a"], "e", 2)
+    assert bg.cells == {0: ["*"], 1: ["a"], 2: ["a|a"]}
+
+
+def test_nerve_names_are_injective_when_objects_and_morphisms_share_names():
+    from homcat.fincat import identity_functor
+    from homcat.simplicial import nerve_map
+
+    rng = random.Random(7109)
+    shapes = [
+        corpus.walking_arrow(),
+        corpus.walking_iso(),
+        corpus.poset_chain(2),
+        corpus.parallel_pair(),
+        corpus.cyclic_group_category(3),
+        corpus.idempotent_monoid_category(),
+    ]
+    clashes = 0
+    for _ in range(80):
+        cat = rng.choice(shapes)
+        nonid = [m for m in cat.morphisms if not cat.is_identity(m.name)]
+        # objects and morphisms draw from one pool, which also holds plain
+        # chain names, so an object is often named like a chain
+        pool = corpus.clash_names(rng, 4, max_len=1)
+        pool += [f"{a}|{b}" for a, b in itertools.permutations(pool, 2)][:4]
+        objects = rng.sample(pool, len(cat.objects))
+        morphisms = rng.sample(pool, len(nonid))
+        named = renamed_category(cat, objects, morphisms)
+        x = nerve(named, 2)  # validates: no cell name is reused
+        assert x.counts() == nerve(cat, 2).counts()
+        nerve_map(identity_functor(named), x, x)  # validates
+        plain = [(m.name,) for m in named.morphisms if not named.is_identity(m.name)]
+        plain += [
+            (f, g) for (f,), (g,) in itertools.product(plain, repeat=2)
+            if named.dst(f) == named.src(g)
+        ]
+        joined = ["|".join(chain) for chain in plain]
+        if set(objects) & set(joined):
+            clashes += 1
+        elif len(set(joined)) == len(joined):
+            # without a clash every name is the plain one
+            assert x.cells == {0: objects, 1: joined[: len(nonid)], 2: joined[len(nonid):]}
+    assert clashes >= 10
+
+
+# -- validate against the face() loop it replaced ------------------------------
+
+
+def oracle_face(x: SimplicialSet, ref: CellRef, i: int) -> CellRef:
+    """d_i of a cell reference as ``SimplicialSet.face`` computed it before
+    the face memo, without a cache."""
+    base_dim = x.base_dim(ref)
+    dim = base_dim + len(ref.word)
+    if dim == 0 or not 0 <= i <= dim:
+        raise IndexOutOfRange(f"face index {i} out of range for dim {dim}", i=i)
+    word2, j = face_through_word(ref.word, i)
+    if j is None:
+        return CellRef(ref.base, word2)
+    inner = x.faces[(base_dim, ref.base)][j]
+    return CellRef(inner.base, normalize_word(list(word2) + list(inner.word)))
+
+
+def oracle_validate(x: SimplicialSet) -> None:
+    """``SimplicialSet.validate`` as it was before the face memo: the same
+    structural checks, then every identity d_i d_j = d_{j-1} d_i through
+    face() on ``CellRef``s, in (n, cell, j, i) order."""
+    names = [name for n in x.cells for name in x.cells[n]]
+    if len(set(names)) != len(names):
+        dup = next(n for n in names if names.count(n) > 1)
+        raise SchemaError(f"cell name {dup!r} is reused across dimensions")
+    for name in names:
+        head = name.split(" ", 1)[0]
+        if " " in name and head.startswith("s") and head[1:].isdigit():
+            raise SchemaError(f"cell name {name!r} starts like a degeneracy token")
+    for (n, name), refs in x.faces.items():
+        if name not in x.cells.get(n, ()):
+            raise SchemaError(f"faces listed for unknown cell {name!r}")
+        if len(refs) != n + 1:
+            raise SchemaError(f"cell {name!r} needs {n + 1} faces")
+        for ref in refs:
+            if x.base_dim(ref) + len(ref.word) != n - 1:
+                raise SchemaError(f"face of {name!r} has wrong dimension")
+            if normalize_word(ref.word) != ref.word:
+                raise SchemaError(f"face reference of {name!r} not normalized")
+    for n in range(1, x.max_dim + 1):
+        for name in x.cells[n]:
+            if (n, name) not in x.faces:
+                raise SchemaError(f"cell {name!r} has no face data")
+    for n in range(2, x.max_dim + 1):
+        for name in x.cells[n]:
+            ref = CellRef(name, ())
+            for j in range(1, n + 1):
+                for i in range(j):
+                    lhs = oracle_face(x, oracle_face(x, ref, j), i)
+                    rhs = oracle_face(x, oracle_face(x, ref, i), j - 1)
+                    if lhs != rhs:
+                        raise InvalidStructure(
+                            f"simplicial identity fails on {name!r}: "
+                            f"d{i} d{j} != d{j - 1} d{i}"
+                        )
+
+
+def outcome(check, x: SimplicialSet):
+    """None if the check passes, else the class and message it raised."""
+    try:
+        check(x)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def with_faces(x: SimplicialSet, faces: dict) -> SimplicialSet:
+    """A fresh, unvalidated complex with x's cells and the given faces."""
+    return SimplicialSet(x.max_dim, x.cells, faces)
+
+
+def corrupt_one_face(x: SimplicialSet, rng: random.Random) -> dict:
+    """x's faces with one entry corrupted: two faces swapped, or another
+    cell of the face's dimension, or a degenerate one, put in a slot."""
+    faces = dict(x.faces)
+    n, name = key = rng.choice(sorted(faces))
+    refs = list(faces[key])
+    i = rng.randrange(n + 1)
+    kind = rng.choice(["swap", "other", "degenerate"])
+    pool = [
+        z for z in x.all_cells(n - 1)
+        if z != refs[i] and bool(z.word) == (kind == "degenerate")
+    ]
+    if kind == "swap" or not pool:
+        j = rng.choice([k for k in range(n + 1) if k != i])
+        refs[i], refs[j] = refs[j], refs[i]
+    else:
+        refs[i] = rng.choice(pool)
+    faces[key] = tuple(refs)
+    return faces
+
+
+def validate_corpus() -> list[SimplicialSet]:
+    from homcat.subdivision import ex, sd
+
+    small = [
+        standard_simplex(2, 3),
+        boundary(3),
+        horn(3, 1),
+        s1_model(),
+        wedge_of_circles(),
+        nerve(corpus.walking_arrow(), 3),
+        nerve(corpus.cyclic_group_category(2), 3),
+        nerve(corpus.idempotent_monoid_category(), 2),
+        product_sset(standard_simplex(1, 2), standard_simplex(1, 2))[0],
+    ]
+    surfaces = corpus.seeded_surfaces(1)
+    two_dim = [standard_simplex(2), boundary(2), horn(2, 1), s1_model()]
+    return (
+        small
+        + surfaces
+        + [sd(x).complex for x in small + surfaces]
+        + [ex(x).complex for x in two_dim + [nerve(corpus.cyclic_group_category(2), 2)]]
+    )
+
+
+def test_validate_agrees_with_the_face_loop_on_corrupted_complexes():
+    rng = random.Random(9173)
+    failures = passes = 0
+    for x in validate_corpus():
+        assert outcome(oracle_validate, with_faces(x, x.faces)) is None
+        assert outcome(SimplicialSet.validate, with_faces(x, x.faces)) is None
+        for _ in range(12):
+            faces = corrupt_one_face(x, rng)
+            expected = outcome(oracle_validate, with_faces(x, faces))
+            assert outcome(SimplicialSet.validate, with_faces(x, faces)) == expected
+            failures += expected is not None
+            passes += expected is None
+    # both verdicts occur, and so do identity failures
+    assert failures >= 100 and passes >= 20
+
+
+def test_validate_rejects_a_wrong_sd_gluing(monkeypatch):
+    from homcat.subdivision import SdResult, sd
+
+    torus = corpus.seeded_surfaces(1)[1]
+    sd(torus)
+    original = SdResult.pair_ref
+
+    def wrong(self, a, xref, chain):
+        # the right dimension, the wrong cell: the chain collapsed onto
+        # its first subset
+        return original(self, a, xref, chain[:1] * len(chain))
+
+    monkeypatch.setattr(SdResult, "pair_ref", wrong)
+    with pytest.raises(InvalidStructure, match="simplicial identity fails"):
+        sd(torus)
+
+
+def test_validate_reads_faces_without_calling_face(monkeypatch):
+    from homcat.subdivision import sd
+
+    z = sd(sd(corpus.seeded_surfaces(1)[1]).complex).complex
+    calls = []
+    original = SimplicialSet.face
+
+    def counting(self, ref, i):
+        calls.append((ref, i))
+        return original(self, ref, i)
+
+    monkeypatch.setattr(SimplicialSet, "face", counting)
+    fresh = with_faces(z, z.faces)
+    fresh.validate()
+    assert calls == []
+    fresh.face(CellRef(z.cells[2][0]), 0)  # the counter is live
+    assert len(calls) == 1
