@@ -2,16 +2,19 @@
 
 Localization works over a bounded universe of composable letter words
 (forward morphisms and formal inverses of marked ones), interned as
-integers with the rewrites of every letter pair tabulated once.  Local
-rewrites never lengthen a word, so congruence closure inside the universe
-is a union-find over single rewrite steps, and a word's rewrites are the
-same at every bound: the universe and its union-find are grown once, one
-word length at a time, until the class structure is stable or the cap is
-hit.  Whether the result really is the
+integers with the rewrites of every letter pair tabulated once.  The
+universe is reduced: every letter is a word, but a longer word uses only
+non-identity forward letters and formal inverses of marked morphisms
+with no inverse in C, since every other letter rewrites to something
+lower.  ``cap`` (the CLI's ``--cap``) bounds the number of words in this
+reduced universe.  Local rewrites never lengthen a word, so congruence
+closure inside the universe is a union-find over single rewrite steps,
+and a word's rewrites are the same at every bound: the universe and its
+union-find are grown once, one word length at a time, until the class
+structure is stable or the cap is hit.  Whether the result really is the
 localization is then re-checked behaviorally: the projection must send
 marked morphisms to isomorphisms, and the test-suite verifies the
-universal property by functor enumeration on the corpus.
-"""
+universal property by functor enumeration on the corpus."""
 
 from __future__ import annotations
 
@@ -84,13 +87,19 @@ class _Letters:
     """
 
     pairs: list[tuple[str, str]]
+    letter: dict[tuple[str, str], int]  # pairs[a] -> a
     n_inverse: int
     src: list[str]
     dst: list[str]
-    follow: list[list[int]]  # the letters that may follow each letter
+    # the reduced letters that may follow each letter in a word of length
+    # at least 2: none after an identity or a swappable formal inverse
+    follow: list[list[int]]
     pair: dict[tuple[int, int], int]  # a two-letter factor's one-letter rewrite
     identity: list[bool]
-    swap: list[int | None]  # the forward letter equal to a formal inverse
+    # the forward letter equal to a formal inverse of a morphism that has an
+    # inverse in C; every other letter is its own swap
+    swap: list[int]
+    reduced: list[bool]  # neither an identity nor swappable
 
 
 def _letter_tables(cat: FinCategory, weq: frozenset) -> _Letters:
@@ -99,13 +108,11 @@ def _letter_tables(cat: FinCategory, weq: frozenset) -> _Letters:
     )
     letter = {p: a for a, p in enumerate(pairs)}
     ends = [_letter_endpoints(cat, p) for p in pairs]
-    follow = [
-        [b for b in range(len(pairs)) if ends[b][0] == end] for _, end in ends
-    ]
     pair = {}
     for a, (k1, n1) in enumerate(pairs):
-        for b in follow[a]:
-            k2, n2 = pairs[b]
+        for b, (k2, n2) in enumerate(pairs):
+            if ends[b][0] != ends[a][1]:
+                continue
             if k1 == "m" and k2 == "m":
                 # diagrammatic order: first n1 then n2 is the composite n2∘n1
                 pair[a, b] = letter["m", cat.compose(n2, n1)]
@@ -119,18 +126,27 @@ def _letter_tables(cat: FinCategory, weq: frozenset) -> _Letters:
                 if composite in weq:
                     pair[a, b] = letter["i", composite]
     swap = []
-    for kind, name in pairs:
+    for a, (kind, name) in enumerate(pairs):
         inv = cat.inverse(name) if kind == "i" else None
-        swap.append(None if inv is None else letter["m", inv])
+        swap.append(a if inv is None else letter["m", inv])
+    identity = [kind == "m" and cat.is_identity(name) for kind, name in pairs]
+    reduced = [swap[a] == a and not identity[a] for a in range(len(pairs))]
+    follow = [
+        [b for b in range(len(pairs)) if reduced[b] and ends[b][0] == end]
+        if reduced[a] else []
+        for a, (_, end) in enumerate(ends)
+    ]
     return _Letters(
         pairs,
+        letter,
         len(weq),
         [src for src, _ in ends],
         [dst for _, dst in ends],
         follow,
         pair,
-        [kind == "m" and cat.is_identity(name) for kind, name in pairs],
+        identity,
         swap,
+        reduced,
     )
 
 
@@ -145,8 +161,18 @@ def _rewrites(t: _Letters, word: tuple):
         if t.identity[a] and len(word) >= 2:
             yield word[:k] + word[k + 1:]
         b = t.swap[a]
-        if b is not None:
+        if b != a:
             yield word[:k] + (b,) + word[k + 1:]
+
+
+def _reduce(t: _Letters, word: tuple) -> tuple:
+    """ρ: apply every swap, then delete every identity letter; a word of
+    identities keeps its first letter."""
+    if all(map(t.reduced.__getitem__, word)):
+        return word
+    word = tuple([t.swap[a] for a in word])
+    kept = tuple([a for a in word if not t.identity[a]])
+    return kept or word[:1]
 
 
 @dataclass
@@ -154,6 +180,38 @@ class Localization:
     category: FinCategory
     projection: FinFunctor
     marked: MarkedCategory
+
+
+# Why the reduced universe gives the answer of the full one.
+#
+# Every rewrite path maps into the reduced universe: if u rewrites to v
+# in the full universe, ρ(u) and ρ(v) are joined by rewrites of reduced
+# words, each followed by ρ.  Below, n' is the forward letter for n⁻¹.
+# - Swap, identity deletion: ρ(u) = ρ(v).
+# - m·m: with an identity factor this is an identity deletion; otherwise
+#   ρ(u) keeps the factor and rewrites it.
+# - m·i, i·m of one name n: if n has an inverse n', ρ(u) holds n·n' or
+#   n'·n, an m·m factor with the same identity as product; if not, ρ(u)
+#   keeps the factor.
+# - i·i, first n₁⁻¹ then n₂⁻¹ for n₂: A→B, n₁: B→C, c = n₁∘n₂ in W: if
+#   both swap, ρ(u) holds n₁'·n₂', whose m·m product is c⁻¹ in C, the
+#   swap of c⁻¹; if neither swaps, ρ(u) keeps the factor.  If only n₁
+#   swaps (and is no identity, else ρ(u) = ρ(v)), c has no inverse and
+#   the reduced word (c⁻¹, c, n₁', n₂⁻¹) rewrites by c⁻¹·c = id_C to
+#   (n₁', n₂⁻¹) and by c·n₁' = n₂, then n₂·n₂⁻¹ = id_A, to (c⁻¹).  If
+#   only n₂ swaps, (n₁⁻¹, n₂', c, c⁻¹) joins (n₁⁻¹, n₂') to (c⁻¹) alike.
+#   These joins take two more letters than u has, so at one bound the
+#   reduced classes may be finer than the full ones; they agree once the
+#   classes are stable.
+# Representatives do not change: a swap lowers a word in representative
+# order (as many letters, one formal inverse fewer) and an identity
+# deletion shortens it, so the least word of every class is reduced or
+# one letter long, and it is in the reduced universe.
+#
+# Each reduced edge is a chain of full rewrites, so the union-find only
+# joins equal morphisms of C[W⁻¹]; the closure check, ``validate`` and
+# the invertibility check then make any returned answer exact.  So the
+# reduction changes whether the search finishes, not what it returns.
 
 
 def localize(marked: MarkedCategory, cap: int = 20000) -> Localization:
@@ -167,9 +225,15 @@ def localize(marked: MarkedCategory, cap: int = 20000) -> Localization:
     words of lengths up to L/2 give a candidate category; L stops growing
     when a candidate agrees with the last one found.
 
-    Raises :class:`CapExceeded` when the word universe outgrows ``cap``
-    before the class structure stabilizes, or when L passes 40; the
-    payload names the ``universe`` size and the ``word_length`` L reached.
+    The universe is reduced (see the module docstring): a formal inverse
+    w⁻¹ of a morphism w with an inverse w' in C *swaps* to the forward
+    letter w', and the normalizer ρ (:func:`_reduce`) maps each rewrite,
+    and each product of two representatives, into the universe.
+
+    Raises :class:`CapExceeded` when the reduced universe outgrows
+    ``cap`` before the class structure stabilizes, or when L passes 40;
+    the payload names the ``universe`` size and the ``word_length`` L
+    reached.
     """
     cat = marked.base
     weq = marked.weq
@@ -214,7 +278,7 @@ def localize(marked: MarkedCategory, cap: int = 20000) -> Localization:
         union = classes.union
         for w in range(start, len(words)):
             for other in _rewrites(t, words[w]):
-                union(w, index[other])
+                union(w, index[_reduce(t, other)])
 
     def structure(half: int):
         reps = sorted(
@@ -227,7 +291,7 @@ def localize(marked: MarkedCategory, cap: int = 20000) -> Localization:
             end = t.dst[words[u][-1]]
             for v in reps:
                 if t.src[words[v][0]] == end:
-                    product = find(index[words[u] + words[v]])
+                    product = find(index[_reduce(t, words[u] + words[v])])
                     if product not in rep_set:
                         return None
                     table[(u, v)] = product
@@ -252,15 +316,15 @@ def localize(marked: MarkedCategory, cap: int = 20000) -> Localization:
 
     reps, table = current
 
-    def rep_of(kind: str, name: str) -> int:
-        return find(index[(t.pairs.index((kind, name)),)])
+    def rep_of(name: str) -> int:
+        return find(index[(t.letter["m", name],)])
 
     # a letter is named (name,) or (name, "-1") on '^', a word on '*'
     keys = [(n,) if k == "m" else (n, "-1") for k, n in t.pairs]
     label = join_names(keys, "^")
     spell = {r: tuple(label[keys[a]] for a in words[r]) for r in reps}
     spelled = join_names(spell.values(), "*")
-    names = {rep_of("m", cat.identity[x]): f"id_{x}" for x in cat.objects}
+    names = {rep_of(cat.identity[x]): f"id_{x}" for x in cat.objects}
     for rep in reps:
         names.setdefault(rep, spelled[spell[rep]])
     morphisms = [
@@ -269,14 +333,14 @@ def localize(marked: MarkedCategory, cap: int = 20000) -> Localization:
     compose_table = {
         (names[v], names[u]): names[w] for (u, v), w in table.items()
     }
-    identity = {x: names[rep_of("m", cat.identity[x])] for x in cat.objects}
+    identity = {x: names[rep_of(cat.identity[x])] for x in cat.objects}
     localized = FinCategory(list(cat.objects), morphisms, compose_table, identity)
     localized.validate()
     projection = FinFunctor(
         cat,
         localized,
         {x: x for x in cat.objects},
-        {m.name: names[rep_of("m", m.name)] for m in cat.morphisms},
+        {m.name: names[rep_of(m.name)] for m in cat.morphisms},
     )
     projection.validate()
     result = Localization(localized, projection, marked)

@@ -314,6 +314,13 @@ class SimplicialSet:
                     raise SchemaError(f"face of {name!r} has wrong dimension")
                 if ref.word and normalize_word(ref.word) != ref.word:
                     raise SchemaError(f"face reference of {name!r} not normalized")
+                # s_j needs a cell of dimension at least j; in a normal form
+                # the outermost letter, on an (n - 2)-cell, bounds the rest
+                if ref.word and ref.word[0] > n - 2:
+                    raise SchemaError(
+                        f"degeneracy in face {ref.serialize()!r} of {name!r} "
+                        "is out of range"
+                    )
         for n in range(1, self.max_dim + 1):
             for name in self.cells[n]:
                 if (n, name) not in self.faces:

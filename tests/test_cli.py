@@ -13,12 +13,14 @@ import pytest
 import homcat
 from homcat.cli import _parser, main
 from homcat.homotopy import pi1
+from homcat.modelcat import saturate_two_of_three
 from homcat.setcalc import diagram_to_json
 from homcat.simplicial import horn, nerve
 from homcat.subdivision import sd
 
 import corpus
 from test_homotopy import rp2_triangulation, torus_triangulation
+from test_modelcat import count_reduced_words
 from test_simplicial import s1_model
 
 
@@ -300,6 +302,7 @@ QUOTIENT_FIXTURES = {
     },
     "arrow-cat": lambda: corpus.walking_arrow().to_json_dict(),
     "chain-cat": lambda: corpus.poset_chain(2).to_json_dict(),
+    "z3-cat": lambda: corpus.cyclic_group_category(3).to_json_dict(),
 }
 
 # sha256 of stdout of every verb that computes a union-find quotient; how
@@ -333,6 +336,9 @@ PINNED_QUOTIENT_REPORTS = [
      "6af4ad7fff952e409c47fd597b1fca7b1af2bcc06b6f3eba790a50aaf4f7e87d"),
     (["localize", "chain-cat", "--weq", "le01,le12"],
      "89f86b977c06a6abee92626222ca7694db03e6efb748f3fddfb72c6db94bd114"),
+    # no --weq: only the isomorphisms are marked, and the answer is Z/3
+    (["localize", "z3-cat"],
+     "df3b89d3ef09d695aafa3ce6cdcd8effc3d53045672bbf97cdb357e8421f3412"),
 ]
 
 
@@ -531,6 +537,16 @@ def test_pi1_missing_base_is_domain_error(tmp_path, capsys):
     assert json.loads(out)["error"] == "BaseNotFound"
 
 
+def test_pi1_rejects_a_degeneracy_letter_out_of_range(tmp_path, capsys):
+    path = write(tmp_path, "bad.json", {
+        "v": 1, "dim": 2, "cells": {"0": ["v"], "1": ["a"], "2": ["t"]},
+        "faces": {"a": ["v", "v"], "t": ["a", "s5 v", "a"]},
+    })
+    code, out = run(capsys, "pi1", path, "--base", "v")
+    assert code == 2  # a schema error, not a traceback
+    assert json.loads(out)["error"] == "SchemaError"
+
+
 def test_svk_verb(tmp_path, capsys):
     phi = {
         "v": 1,
@@ -586,8 +602,11 @@ def test_localize_cap_report_says_where_it_tripped(tmp_path, capsys):
     assert code == 1
     report = json.loads(out)
     assert report["error"] == "CapExceeded"
-    assert (report["cap"], report["word_length"]) == (20000, 8)
-    assert report["universe"] > 20000
+    # the reduced universe passes the cap at word length 23 of 24
+    marked = saturate_two_of_three(corpus.parallel_pair(), ["a"])
+    assert (report["cap"], report["universe"], report["word_length"]) == (
+        20000, count_reduced_words(marked, 23), 24,
+    )
 
 
 def test_model_check_verb(tmp_path, capsys):

@@ -308,6 +308,26 @@ def test_json_rejects_unknown_fields_and_bad_refs():
         SimplicialSet(0, {0: ["s0 v"]}, {}).validate()
 
 
+def test_validate_rejects_a_degeneracy_letter_out_of_range():
+    # s_j applies only to cells of dimension at least j
+    bad = {
+        "v": 1, "dim": 2, "cells": {"0": ["v"], "1": ["a"], "2": ["t"]},
+        "faces": {"a": ["v", "v"], "t": ["a", "s5 v", "a"]},
+    }
+    with pytest.raises(SchemaError, match="out of range"):
+        simplicial_from_json(bad)
+    flat = {"v": 1, "dim": 2, "cells": {"0": ["v"], "2": ["t"]}}
+    simplicial_from_json({**flat, "faces": {"t": ["s0 v", "s0 v", "s0 v"]}})
+    with pytest.raises(SchemaError, match="out of range"):
+        simplicial_from_json({**flat, "faces": {"t": ["s0 v", "s1 v", "s0 v"]}})
+    # in a word the outer letter applies one dimension up: s1 s0 v is a
+    # 2-cell, while s2 s0 v applies s2 to the 1-cell s0 v
+    solid = {"v": 1, "dim": 3, "cells": {"0": ["v"], "3": ["w"]}}
+    simplicial_from_json({**solid, "faces": {"w": ["s1 s0 v"] * 4}})
+    with pytest.raises(SchemaError, match="out of range"):
+        simplicial_from_json({**solid, "faces": {"w": ["s2 s0 v"] + ["s1 s0 v"] * 3}})
+
+
 def test_product_complex_round_trips_through_json():
     import json as _json
     from homcat.simplicial import simplicial_from_json as loads
