@@ -331,7 +331,8 @@ def cmd_eckmann_hilton(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget", type=int, default=DEFAULT_HORN_BUDGET,
-                        help="search budget for enumerations")
+                        help="search budget for enumerations; for pi1, "
+                             "the Tietze move budget")
     common.add_argument("--max-dim", type=int, default=3, dest="max_dim",
                         help="dimension bound for simplicial operations")
     parser = argparse.ArgumentParser(

@@ -101,7 +101,7 @@ def cyclic_reduce(word: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def invert_word(word: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-letter for letter in reversed(word))
+    return tuple([-letter for letter in reversed(word)])
 
 
 # -- pi0 -----------------------------------------------------------------------
@@ -140,47 +140,36 @@ def pi1(x: SimplicialSet, base: str) -> GroupPresentation:
         )
     if base not in x.cells[0]:
         raise BaseNotFound(f"unknown base vertex {base!r}", base=base)
-    component = next(block for block in pi0(x) if base in block)
-    in_component = set(component)
-    edges = [
-        name
-        for name in x.cells[1]
-        if _edge_endpoints(x, name)[0] in in_component
-    ]
-    generators = list(edges)
-    gen_index = {name: k + 1 for k, name in enumerate(generators)}
-
-    adjacency: dict[str, list[tuple[str, str]]] = {v: [] for v in component}
-    for name in edges:
-        src, dst = _edge_endpoints(x, name)
+    # one breadth-first search finds the base's pi0 block and the tree
+    ends = [(name, *_edge_endpoints(x, name)) for name in x.cells[1]]
+    adjacency: dict[str, list[tuple[str, str]]] = {v: [] for v in x.cells[0]}
+    for name, src, dst in ends:
         adjacency[src].append((dst, name))
         adjacency[dst].append((src, name))
-    for v in adjacency:
-        adjacency[v].sort()
-
     tree_edges: list[str] = []
-    seen = {base}
+    in_component = {base}
     queue = [base]
-    while queue:
-        v = queue.pop(0)
-        for w, name in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
+    for v in queue:  # the loop reads what it appends
+        for w, name in sorted(adjacency[v]):
+            if w not in in_component:
+                in_component.add(w)
                 tree_edges.append(name)
                 queue.append(w)
+    generators = [name for name, src, _ in ends if src in in_component]
+    gen_index = {name: k + 1 for k, name in enumerate(generators)}
 
     relators: list[tuple[int, ...]] = [(gen_index[name],) for name in tree_edges]
 
-    def letter(ref: CellRef) -> tuple[int, ...]:
+    def letter(ref: CellRef, sign: int = 1) -> tuple[int, ...]:
         if ref.word:
             return ()  # degenerate edge: the constant path
-        return (gen_index[ref.base],)
+        return (sign * gen_index[ref.base],)
 
     for name in x.cells[2]:
         d0, d1, d2 = x.faces[(2, name)]
         if x.faces_of(d0.base, d0.word)[0][0] not in in_component:  # d0 d0: the corner
             continue
-        word = free_reduce(letter(d2) + letter(d0) + invert_word(letter(d1)))
+        word = free_reduce(letter(d2) + letter(d0) + letter(d1, -1))
         if word:
             relators.append(word)
     pres = GroupPresentation(generators, relators)
@@ -444,31 +433,30 @@ def svk_pushout(phi1: GroupHomSpec, phi2: GroupHomSpec) -> GroupPresentation:
 # -- Tietze simplification -------------------------------------------------------
 
 
-def _canonical_cyclic(word: tuple[int, ...]) -> tuple[int, ...]:
-    """Least rotation among the word and its inverse, for deduplication."""
-    if not word:
-        return word
-    candidates = []
-    for w in (word, invert_word(word)):
-        for k in range(len(w)):
-            candidates.append(w[k:] + w[:k])
-    return min(candidates)
-
-
 class _Relator:
     """What the Tietze loop asks of a relator, worked out once per word."""
 
     __slots__ = ("reduced", "key", "lone", "letters")
 
     def __init__(self, word: tuple[int, ...]):
-        self.reduced = cyclic_reduce(word)
+        self.reduced = reduced = cyclic_reduce(word)
         counts: dict[int, int] = {}
-        for letter in self.reduced:
+        for letter in reduced:
             counts[abs(letter)] = counts.get(abs(letter), 0) + 1
-        self.key = _canonical_cyclic(self.reduced)  # for deduplication
-        # the first generator that occurs exactly once, if any
-        self.lone = next((g for g, c in counts.items() if c == 1), None)
-        self.letters = frozenset(counts)  # the generators it uses
+        self.letters = counts.keys()  # the generators it uses
+        self.lone = None  # the first generator that occurs exactly once
+        for g, c in counts.items():
+            if c == 1:
+                self.lone = g
+                break
+        # for deduplication: the least rotation of the word or its inverse;
+        # it starts with their least letter, minus the largest generator
+        least = -max(counts, default=0)
+        self.key = min(
+            [w[k:] + w[:k] for w in (reduced, invert_word(reduced))
+             for k in range(len(w)) if w[k] == least],
+            default=(),
+        )
 
 
 def _substitute(
@@ -501,7 +489,12 @@ def tietze_simplify(pres: GroupPresentation, budget: int = 100) -> GroupPresenta
     generator, the live slots of each dedup key (two words get equal keys
     iff they have the same rotations of themselves and their inverses),
     and a heap of the slots that had a lone generator, checked lazily.
+    ``budget`` caps the moves; a negative one is a :class:`SchemaError`.
     """
+    if budget < 0:
+        raise SchemaError(
+            f"Tietze move budget must be nonnegative, got {budget}", budget=budget
+        )
     memo: dict[tuple[int, ...], _Relator] = {}
 
     def info(w: tuple[int, ...]) -> _Relator:
@@ -512,7 +505,9 @@ def tietze_simplify(pres: GroupPresentation, budget: int = 100) -> GroupPresenta
         return got
 
     slots: list[tuple[int, ...] | None] = [None] * len(pres.relators)
-    occurs: dict[int, set[int]] = {}
+    occurs: dict[int, set[int]] = {
+        g: set() for g in range(1, len(pres.generators) + 1)
+    }
     holders: dict[tuple[int, ...], set[int]] = {}
     twice: set[tuple[int, ...]] = set()
     lone: list[int] = []
@@ -533,7 +528,7 @@ def tietze_simplify(pres: GroupPresentation, budget: int = 100) -> GroupPresenta
             return
         slots[k] = rel.reduced
         for g in rel.letters:
-            occurs.setdefault(g, set()).add(k)
+            occurs[g].add(k)
         held = holders.setdefault(rel.key, set())
         held.add(k)
         if len(held) > 1:

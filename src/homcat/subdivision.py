@@ -295,14 +295,32 @@ Chain = tuple[tuple[int, ...], ...]  # nonempty subsets of [a], increasing
 
 
 @lru_cache(maxsize=None)
-def _top_chains(a: int, max_dim: int) -> tuple[tuple[Chain, str], ...]:
+def _top_chains(
+    a: int, max_dim: int
+) -> tuple[tuple[Chain, str, tuple[Chain, ...]], ...]:
     """The strict chains S₀ ⊊ … ⊊ Sₘ = [a] with m ≤ max_dim, each beside
-    its name as a cell of sd(Δᵃ)."""
+    its name as a cell of sd(Δᵃ) and its faces, the chains without Sᵢ."""
     return tuple(
-        (chain, name)
+        (chain, name, tuple(chain[:i] + chain[i + 1:] for i in range(len(chain))))
         for (_, name), chain in _subset_chains(a, max_dim)
         if len(chain[-1]) == a + 1
     )
+
+
+@lru_cache(maxsize=None)
+def _chain_template(a: int, chain: Chain) -> tuple:
+    """What :meth:`SdResult.pair_ref` reads off a weakly increasing chain of
+    nonempty subsets of [a]: its top subset T, the vertices of [a] outside
+    T (largest first), the chain relabelled by position in T, the strict
+    part of that, and the degeneracy word of its repeats, as in
+    :func:`surjection_word`.  The keys are cells of sd(Δᵃ), so the cache
+    stays within those of the degrees in use."""
+    top = chain[-1]
+    position = {v: k for k, v in enumerate(top)}
+    relabelled = tuple(tuple(position[v] for v in s) for s in chain)
+    missing = tuple(i for i in range(a, -1, -1) if i not in position)
+    word = tuple(i for i in range(len(chain) - 2, -1, -1) if chain[i] == chain[i + 1])
+    return top, missing, relabelled, tuple(dict.fromkeys(relabelled)), word
 
 
 @dataclass
@@ -311,15 +329,16 @@ class SdResult:
 
     ``origin[(m, name)]`` is ``(a, x, chain)``: the nondegenerate a-cell x
     of the source and the strict chain of subsets of [a], with top [a],
-    whose pair is the cell; ``cell_name`` is the inverse, keyed by
-    ``(x, chain)``.  :func:`sd` sets ``complex`` once the cells are named.
+    whose pair is the cell; ``cell_ref`` is the inverse, keyed by
+    ``(x, chain)``, with one shared ``CellRef`` per new cell.  :func:`sd`
+    sets ``complex`` once the cells are named.
     """
 
     source: SimplicialSet
     origin: dict[tuple[int, str], tuple[int, str, Chain]]
-    cell_name: dict[tuple[str, Chain], str]
+    cell_ref: dict[tuple[str, Chain], CellRef]
     complex: SimplicialSet = field(init=False)
-    _restricted: dict[tuple[str, tuple[int, ...]], CellRef] = field(
+    _restricted: dict[tuple[str, tuple[int, ...]], tuple] = field(
         default_factory=dict, repr=False
     )
 
@@ -329,34 +348,29 @@ class SdResult:
 
         Until the pair is normal: push the chain through the surjection of
         the cell's degeneracy word, restrict the base cell to the chain's
-        top subset T, and relabel the chain by position in T.  The strict
-        part of the chain then names the cell and its repeats give the
-        degeneracy word, as in :func:`surjection_word`.
+        top subset T, and relabel the chain by position in T.  Once the
+        restriction is nondegenerate, the strict part of the relabelled
+        chain names the cell and its repeats give the degeneracy word.
         """
+        base, word = xref.base, xref.word
         while True:
-            if xref.word:
-                a -= len(xref.word)
-                surj = word_surjection(xref.word, a).values
+            if word:
+                a -= len(word)
+                surj = word_surjection(word, a).values
                 chain = tuple(tuple(dict.fromkeys(surj[v] for v in s)) for s in chain)
-                xref = CellRef(xref.base)
-            top = chain[-1]
-            if len(top) == a + 1:
-                break
-            key = (xref.base, top)
+            top, missing, relabelled, strict, repeats = _chain_template(a, chain)
+            key = (base, top)
             restricted = self._restricted.get(key)
             if restricted is None:
-                cell = (xref.base, ())
-                for i in range(a, -1, -1):  # largest missing vertex first
-                    if i not in top:
-                        cell = self.source.faces_of(*cell)[i]
-                restricted = self._restricted[key] = CellRef(*cell)
-            position = {v: k for k, v in enumerate(top)}
-            chain = tuple(tuple(position[v] for v in s) for s in chain)
-            a, xref = len(top) - 1, restricted
-        word = tuple(
-            i for i in range(len(chain) - 2, -1, -1) if chain[i] == chain[i + 1]
-        )
-        return CellRef(self.cell_name[(xref.base, tuple(dict.fromkeys(chain)))], word)
+                restricted = (base, ())
+                for i in missing:
+                    restricted = self.source.faces_of(*restricted)[i]
+                self._restricted[key] = restricted
+            base, word = restricted
+            if not word:
+                ref = self.cell_ref[(base, strict)]
+                return CellRef(ref.base, repeats) if repeats else ref
+            a, chain = len(top) - 1, relabelled
 
 
 def sd(x: SimplicialSet) -> SdResult:
@@ -371,31 +385,31 @@ def sd(x: SimplicialSet) -> SdResult:
     ``b{m}_{k}``; the result is checked with ``SimplicialSet.validate``.
     """
     n_top = x.max_dim
-    keyed: dict[int, list[tuple[str, int, str, Chain]]] = {
-        m: [] for m in range(n_top + 1)
-    }
+    keyed: dict[int, list[tuple]] = {m: [] for m in range(n_top + 1)}
     for a in range(n_top + 1):
         chains = _top_chains(a, n_top)
         for name in x.cells[a]:
-            head = f"{a}${name}$"
-            for chain, chain_name in chains:
-                keyed[len(chain) - 1].append((head + chain_name, a, name, chain))
+            head, xref = f"{a}${name}$", CellRef(name)
+            for chain, chain_name, below in chains:
+                keyed[len(chain) - 1].append(
+                    (head + chain_name, a, name, chain, xref, below)
+                )
     cells: dict[int, list[str]] = {}
     origin: dict[tuple[int, str], tuple[int, str, Chain]] = {}
-    cell_name: dict[tuple[str, Chain], str] = {}
+    cell_ref: dict[tuple[str, Chain], CellRef] = {}
+    result = SdResult(x, origin, cell_ref)
+    faces = {}
+    # a level's faces lie in the levels below it, named by then
     for m, entries in keyed.items():
         entries.sort()
         cells[m] = [f"b{m}_{k}" for k in range(len(entries))]
-        for fresh, (_, a, name, chain) in zip(cells[m], entries):
+        for fresh, (_, a, name, chain, xref, below) in zip(cells[m], entries):
             origin[(m, fresh)] = (a, name, chain)
-            cell_name[(name, chain)] = fresh
-    result = SdResult(x, origin, cell_name)
-    faces = {}
-    for (m, fresh), (a, name, chain) in origin.items():
-        if m:
-            faces[(m, fresh)] = tuple(
-                CellRef(cell_name[(name, chain[:i] + chain[i + 1:])]) for i in range(m)
-            ) + (result.pair_ref(a, CellRef(name), chain[:-1]),)
+            cell_ref[(name, chain)] = CellRef(fresh)
+            if m:
+                faces[(m, fresh)] = tuple(
+                    cell_ref[(name, face)] for face in below[:-1]
+                ) + (result.pair_ref(a, xref, below[-1]),)
     result.complex = SimplicialSet(n_top, cells, faces)
     result.complex.validate()
     return result

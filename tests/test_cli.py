@@ -547,6 +547,21 @@ def test_pi1_rejects_a_degeneracy_letter_out_of_range(tmp_path, capsys):
     assert json.loads(out)["error"] == "SchemaError"
 
 
+def test_pi1_rejects_a_negative_budget(tmp_path, capsys):
+    path = write(tmp_path, "x.json", {
+        "v": 1, "dim": 2, "cells": {"0": ["v"], "1": ["a", "b"], "2": ["t"]},
+        "faces": {"a": ["v", "v"], "b": ["v", "v"], "t": ["a", "b", "a"]},
+    })
+    code, out = run(capsys, "pi1", path, "--base", "v", "--budget", "-5")
+    assert code == 2
+    report = json.loads(out)
+    assert (report["error"], report["budget"]) == ("SchemaError", -5)
+    code, out = run(capsys, "pi1", path, "--base", "v", "--budget", "0")
+    assert code == 0
+    report = json.loads(out.split("\n", 3)[3])
+    assert report["simplified"] == report["presentation"]
+
+
 def test_svk_verb(tmp_path, capsys):
     phi = {
         "v": 1,

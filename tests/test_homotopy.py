@@ -9,7 +9,8 @@ from homcat.errors import BaseNotFound, DimensionTooLow, SchemaError
 from homcat import homotopy
 from homcat.homotopy import (
     _abelianized_trivial,
-    _canonical_cyclic,
+    _edge_endpoints,
+    _Relator,
     GroupHomSpec,
     GroupPresentation,
     abelian_invariants,
@@ -406,6 +407,132 @@ def test_pi1_of_disk_on_circle_is_trivial():
     assert is_trivial_presentation(pres)
 
 
+# The pi1 that found the base component with a pi0 call and the spanning
+# tree with a second search, kept verbatim as an oracle for the one-search
+# pi1: the presentations must agree letter for letter.
+def pi1_oracle(x: SimplicialSet, base: str) -> GroupPresentation:
+    """Edge-path presentation relative to a breadth-first spanning tree.
+
+    Generators are the nondegenerate 1-cells of the base component; tree
+    edges become relators, and every nondegenerate 2-cell contributes
+    d2 · d0 · d1⁻¹ with degenerate faces dropping out.
+    """
+    if x.max_dim < 2:
+        raise DimensionTooLow(
+            "pi1 needs the complex truncated at dimension 2 or higher",
+            max_dim=x.max_dim,
+        )
+    if base not in x.cells[0]:
+        raise BaseNotFound(f"unknown base vertex {base!r}", base=base)
+    component = next(block for block in pi0(x) if base in block)
+    in_component = set(component)
+    edges = [
+        name
+        for name in x.cells[1]
+        if _edge_endpoints(x, name)[0] in in_component
+    ]
+    generators = list(edges)
+    gen_index = {name: k + 1 for k, name in enumerate(generators)}
+
+    adjacency: dict[str, list[tuple[str, str]]] = {v: [] for v in component}
+    for name in edges:
+        src, dst = _edge_endpoints(x, name)
+        adjacency[src].append((dst, name))
+        adjacency[dst].append((src, name))
+    for v in adjacency:
+        adjacency[v].sort()
+
+    tree_edges: list[str] = []
+    seen = {base}
+    queue = [base]
+    while queue:
+        v = queue.pop(0)
+        for w, name in adjacency[v]:
+            if w not in seen:
+                seen.add(w)
+                tree_edges.append(name)
+                queue.append(w)
+
+    relators: list[tuple[int, ...]] = [(gen_index[name],) for name in tree_edges]
+
+    def letter(ref: CellRef) -> tuple[int, ...]:
+        if ref.word:
+            return ()  # degenerate edge: the constant path
+        return (gen_index[ref.base],)
+
+    for name in x.cells[2]:
+        d0, d1, d2 = x.faces[(2, name)]
+        if x.faces_of(d0.base, d0.word)[0][0] not in in_component:  # d0 d0: the corner
+            continue
+        word = free_reduce(letter(d2) + letter(d0) + invert_word(letter(d1)))
+        if word:
+            relators.append(word)
+    pres = GroupPresentation(generators, relators)
+    pres.validate()
+    return pres
+
+
+def disjoint_union(*parts: SimplicialSet) -> SimplicialSet:
+    """The parts side by side, the cells of part k renamed 'k:name'; each
+    level takes one cell of each part in turn, so no component is
+    contiguous."""
+    max_dim = min(x.max_dim for x in parts)
+    cells = {n: [] for n in range(max_dim + 1)}
+    faces = {}
+    for n in range(max_dim + 1):
+        rows = [[(k, x, name) for name in x.cells[n]] for k, x in enumerate(parts)]
+        for k, x, name in filter(None, itertools.chain(*itertools.zip_longest(*rows))):
+            cells[n].append(f"{k}:{name}")
+            if n:
+                faces[(n, f"{k}:{name}")] = tuple(
+                    CellRef(f"{k}:{r.base}", r.word) for r in x.faces[(n, name)]
+                )
+    out = SimplicialSet(max_dim, cells, faces)
+    out.validate()
+    return out
+
+
+def pi1_corpus() -> list[SimplicialSet]:
+    from test_subdivision import sd_corpus  # test_subdivision imports this module
+
+    return [x for x in sd_corpus().values() if x.max_dim >= 2] + [
+        s1_model(), wedge_of_circles(), disk_on_circle(), figure_eight_with_disk(),
+    ]
+
+
+def assert_pi1_matches_the_oracle(x: SimplicialSet, base: str) -> None:
+    got, want = pi1(x, base), pi1_oracle(x, base)
+    assert got.to_json_dict() == want.to_json_dict()
+
+
+def test_pi1_matches_the_two_search_oracle_on_the_corpus():
+    for x in pi1_corpus():
+        for base in x.cells[0]:
+            assert_pi1_matches_the_oracle(x, base)
+
+
+def test_pi1_matches_the_two_search_oracle_with_several_components():
+    parts = [torus_triangulation(), s1_model(), rp2_triangulation(),
+             SimplicialSet(2, {0: ["p"]}, {}), disk_on_circle(), boundary(3, 2)]
+    x = disjoint_union(*parts)
+    assert len(pi0(x)) == len(parts)
+    for block in pi0(x):
+        for base in (block[0], block[-1]):
+            assert_pi1_matches_the_oracle(x, base)
+    y = sd(x).complex
+    for block in pi0(y):
+        assert_pi1_matches_the_oracle(y, block[len(block) // 2])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pi1_matches_the_two_search_oracle_on_subdivided_seeded_surfaces(seed):
+    for x in corpus.seeded_surfaces(seed):
+        for _ in range(2):
+            x = sd(x).complex
+            assert_pi1_matches_the_oracle(x, x.cells[0][0])
+            assert_pi1_matches_the_oracle(x, x.cells[0][-1])
+
+
 # -- svk ------------------------------------------------------------------------
 
 
@@ -574,6 +701,27 @@ def test_tietze_kills_simple_relator():
     assert is_trivial_presentation(pres)
 
 
+def test_tietze_rejects_a_negative_budget():
+    pres = GroupPresentation(["a", "b"], [(1, 2, 1)])
+    with pytest.raises(SchemaError, match="-5") as caught:
+        tietze_simplify(pres, budget=-5)
+    assert caught.value.payload == {"budget": -5}
+    with pytest.raises(SchemaError):
+        is_trivial_presentation(pres, budget=-1)
+    # a budget of 0 allows no move
+    kept = tietze_simplify(pres, budget=0)
+    assert (kept.generators, kept.relators) == (pres.generators, pres.relators)
+
+
+def test_relator_key_is_the_least_rotation_of_the_word_or_its_inverse():
+    rng = random.Random(2718)
+    for _ in range(3000):
+        word = tuple(
+            rng.choice([1, -1]) * rng.randint(1, 4) for _ in range(rng.randint(0, 9))
+        )
+        assert _Relator(word).key == _canonical_cyclic(cyclic_reduce(word)), word
+
+
 def test_tietze_keeps_torus_presentation():
     pres = GroupPresentation(["a", "b"], [(1, 2, -1, -2)])
     reduced = tietze_simplify(pres, budget=50)
@@ -596,6 +744,17 @@ def test_tietze_preserves_abelian_invariants():
         pres = GroupPresentation(gens, rels)
         reduced = tietze_simplify(pres, budget=100)
         assert abelian_invariants(pres) == abelian_invariants(reduced)
+
+
+def _canonical_cyclic(word: tuple[int, ...]) -> tuple[int, ...]:
+    """Least rotation among the word and its inverse, for deduplication."""
+    if not word:
+        return word
+    candidates = []
+    for w in (word, invert_word(word)):
+        for k in range(len(w)):
+            candidates.append(w[k:] + w[:k])
+    return min(candidates)
 
 
 # The move-by-move Tietze loop that renumbered every relator after each

@@ -26,6 +26,9 @@ from homcat.simplicial import (
     word_surjection,
 )
 from homcat.subdivision import (
+    SdResult,
+    _chain_template,
+    _subset_chains,
     ex,
     ex_iter,
     ex_unit,
@@ -236,6 +239,68 @@ def test_adjunction_cardinality_on_corpus():
         lhs = len(enumerate_maps(sd(x).complex, y))
         rhs = len(enumerate_maps(x, ex(y).complex))
         assert lhs == rhs, (x.counts(), y.counts(), lhs, rhs)
+
+
+BZ2 = nerve(corpus.cyclic_group_category(2), 2)
+ADJUNCTION_PAIRS = [
+    (standard_simplex(0, 1), s1_model()),
+    (standard_simplex(1, 1), s1_model()),
+    (standard_simplex(1, 1), standard_simplex(1, 1)),
+    (s1_model(), s1_model()),
+    (horn(2, 1, max_dim=2), BZ2),
+    # the 2-cells of BZ/2 have degenerate faces, so these two pairs also
+    # send chains through degenerate restrictions
+    (BZ2, BZ2),
+    (BZ2, s1_model()),
+]
+
+
+def assert_transposes_biject(
+    a_cx: SimplicialSet, x: SimplicialSet, sda: SdResult
+) -> None:
+    """Each f: sd A → X has the transpose f♯: A → Ex X sending an n-cell a
+    to the map sd(Δⁿ) → X that puts each chain at f of the pair (a, chain)
+    of sd A; f ↦ f♯ must be a bijection onto the maps A → Ex X."""
+    exx = ex(x)
+    n_top = x.max_dim
+    maps = enumerate_maps(sda.complex, x)
+    transposes = set()
+    for f in maps:
+        cell_map = {}
+        for n in range(a_cx.max_dim + 1):
+            for name in a_cx.cells[n]:
+                g = SimplicialMap(sd_simplex(n, n_top), x, {
+                    key: f.apply(sda.pair_ref(n, CellRef(name), chain))
+                    for key, chain in _subset_chains(n, n_top)
+                })
+                g.validate()
+                cell_map[(n, name)] = exx.ref_of_map(n, g)
+        SimplicialMap(a_cx, exx.complex, cell_map).validate()
+        transposes.add(tuple(sorted(cell_map.items())))
+    assert len(transposes) == len(maps)  # distinct maps, distinct transposes
+    assert len(maps) == len(enumerate_maps(a_cx, exx.complex))
+
+
+def test_sd_ex_transposes_are_a_bijection():
+    for a_cx, x in ADJUNCTION_PAIRS:
+        assert_transposes_biject(a_cx, x, sd(a_cx))
+
+
+def test_sd_ex_transposes_need_the_degeneracy_word(monkeypatch):
+    subdivided = [sd(a_cx) for a_cx, _ in ADJUNCTION_PAIRS]
+    original = SdResult.pair_ref
+
+    def wordless(self, a, xref, chain):
+        return CellRef(original(self, a, xref, chain).base)
+
+    monkeypatch.setattr(SdResult, "pair_ref", wordless)
+    failed = 0
+    for (a_cx, x), sda in zip(ADJUNCTION_PAIRS, subdivided):
+        try:
+            assert_transposes_biject(a_cx, x, sda)
+        except SchemaError:
+            failed += 1
+    assert failed == 2  # the two pairs with degenerate restrictions
 
 
 def test_ex_iter_stage_zero_is_input():
@@ -730,6 +795,23 @@ def test_sd_map_and_last_vertex_match_the_oracle():
         assert maps
         for f in maps[:8]:
             assert sd_map(f, sdx, sdy).cell_map == oracle_sd_map(f, osdx, osdy).cell_map
+
+
+def test_pair_ref_templates_are_keyed_by_degree_and_chain_only():
+    _chain_template.cache_clear()
+    torus = torus_triangulation()
+    sd_torus = sd(torus).complex
+    after_torus = _chain_template.cache_info().currsize
+    sd(sd_torus)  # ten times the cells, the same chains
+    assert _chain_template.cache_info().currsize == after_torus
+    sd(nerve(corpus.cyclic_group_category(3), 2))  # degenerate restrictions
+    max_dim = 2
+    chains = sum(
+        len(sd_simplex(a, max_dim).all_cells(m))
+        for a in range(max_dim + 1)
+        for m in range(max_dim + 1)
+    )
+    assert after_torus < _chain_template.cache_info().currsize <= chains
 
 
 def test_sd_makes_no_union_find_call(monkeypatch):
