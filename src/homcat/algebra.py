@@ -244,9 +244,13 @@ def eckmann_hilton_scan(max_size: int) -> list[InterchangeReport]:
     associative.  Distinct units are allowed; interchange forces them equal.
 
     Each table is also built once as a flat tuple of element indices (i∘j
-    at position i·n + j), and the law runs on those, over the n⁴ position
-    quadruples listed once per size; failures are read off the named tables.
+    at position i·n + j).  For one ⋆, the law on each quadruple is a
+    condition on three entries of ∘, met by a bitset of tables read off
+    per-position masks; every ∘ is decided by intersecting those bitsets.
     """
+    if max_size < 1:
+        raise SchemaError(f"scan size must be at least 1, got {max_size}",
+                          size=max_size)
     if max_size >= 4:
         raise BudgetExceeded(
             "sizes from 4 up need 10^12 table pairs or more; the scan stops at 3",
@@ -260,40 +264,55 @@ def eckmann_hilton_scan(max_size: int) -> list[InterchangeReport]:
             (unit, op, tuple(index[op[(a, b)]] for a in elements for b in elements))
             for unit, op in _unital_tables(elements)
         ]
-        quads = _interchange_positions(size)
-        pairs_checked = 0
-        interchange_pairs = 0
-        counterexamples = []
+        masks, quads = _interchange_kernel([flat for _, _, flat in tables], size)
+        interchange_pairs, counterexamples = 0, []
         for unit1, op1, flat1 in tables:
-            for unit2, op2, flat2 in tables:
-                pairs_checked += 1
-                if not _interchange_holds_on_indices(flat1, flat2, size, quads):
-                    continue
-                interchange_pairs += 1
-                problems = _collapse_failures(
-                    elements, unit1, op1, unit2, op2
-                )
+            partners = _interchange_partners(flat1, size, masks, quads)
+            interchange_pairs += partners.bit_count()
+            while partners:
+                unit2, op2, _ = tables[(partners & -partners).bit_length() - 1]
+                partners &= partners - 1
+                problems = _collapse_failures(elements, unit1, op1, unit2, op2)
                 if problems:
                     counterexamples.append(problems)
-        reports.append(
-            InterchangeReport(size, pairs_checked, interchange_pairs, counterexamples)
-        )
+        reports.append(InterchangeReport(
+            size, len(tables) ** 2, interchange_pairs, counterexamples))
     return reports
 
 
-def _interchange_positions(n: int) -> list[tuple[int, int, int, int]]:
-    """(a·n+b, c·n+d, a·n+c, b·n+d) for every a, b, c, d < n."""
-    return [(a * n + b, c * n + d, a * n + c, b * n + d)
-            for a, b, c, d in itertools.product(range(n), repeat=4)]
+def _interchange_kernel(flats, n):
+    """masks[p][v], the bitset of the tables (bit k for ``flats[k]``) with v
+    at position p; and per quadruple (a, b, c, d), most distinct indices
+    first, the positions a·n+b and c·n+d of ⋆ and the nonzero terms
+    (x·n+y, masks[a·n+c][x] & masks[b·n+d][y])."""
+    masks = [[0] * n for _ in range(n * n)]
+    for k, flat in enumerate(flats):
+        for p, v in enumerate(flat):
+            masks[p][v] |= 1 << k
+    quads = []
+    for a, b, c, d in sorted(itertools.product(range(n), repeat=4),
+                             key=lambda q: -len(set(q))):
+        ac, bd = masks[a * n + c], masks[b * n + d]
+        quads.append((a * n + b, c * n + d, [
+            (x * n + y, t) for x in range(n) for y in range(n) if (t := ac[x] & bd[y])
+        ]))
+    return masks, quads
 
 
-def _interchange_holds_on_indices(flat1, flat2, n, quads) -> bool:
-    """The interchange law for the index tables of ⋆ (``flat1``) and ∘
-    (``flat2``), stopping at the first quadruple that breaks it."""
-    for ab, cd, ac, bd in quads:
-        if flat2[flat1[ab] * n + flat1[cd]] != flat1[flat2[ac] * n + flat2[bd]]:
-            return False
-    return True
+def _interchange_partners(star, n, masks, quads) -> int:
+    """The bitset of the ∘ that satisfy (a⋆b)∘(c⋆d) = (a∘c)⋆(b∘d) with the
+    index table ``star``: per quadruple, the ∘ in the term for (x, y) that
+    hold ⋆[x, y] at ⋆[a, b]·n + ⋆[c, d], intersected until none is left."""
+    partners = -1  # all ones: every ∘ until a quadruple rules some out
+    for ab, cd, terms in quads:
+        row = masks[star[ab] * n + star[cd]]
+        holds = 0
+        for xy, term in terms:
+            holds |= term & row[star[xy]]
+        partners &= holds
+        if not partners:
+            break
+    return partners
 
 
 def _collapse_failures(elements, unit1, op1, unit2, op2):

@@ -113,10 +113,15 @@ class DimensionTooLow(EngineError):
 
 
 class Budget:
-    """Mutable countdown shared across a search; raises when exhausted."""
+    """Mutable countdown shared across a search; raises when exhausted.
+    A negative limit is bad input, not an exhausted search."""
 
     def __init__(self, limit: int):
         self.limit = int(limit)
+        if self.limit < 0:
+            raise SchemaError(
+                f"search budget must be nonnegative, got {limit}", budget=self.limit
+            )
         self.spent = 0
 
     def charge(self, amount: int = 1, what: str = "search") -> None:

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 
 import pytest
 
 from homcat.algebra import (
     FinAction,
-    _interchange_holds_on_indices,
-    _interchange_positions,
+    _collapse_failures,
+    _interchange_kernel,
+    _interchange_partners,
+    _unital_tables,
     action_to_aut_hom,
     check_action,
     check_group,
@@ -23,6 +26,7 @@ from homcat.errors import (
     NoUnit,
     NotAGroup,
     NotAssociative,
+    SchemaError,
     UnitAxiomFailed,
 )
 
@@ -266,6 +270,13 @@ def test_scan_sizes_up_to_three_find_nothing():
         assert report.interchange_pairs > 0
 
 
+def test_scan_size_below_one_is_rejected():
+    for size in (0, -2):
+        with pytest.raises(SchemaError) as exc:
+            eckmann_hilton_scan(size)
+        assert exc.value.payload["size"] == size
+
+
 def test_scan_size_four_is_rejected():
     with pytest.raises(BudgetExceeded):
         eckmann_hilton_scan(4)
@@ -287,39 +298,104 @@ def interchange_oracle(elements, op1, op2) -> bool:
     return True
 
 
-def random_unital_table(rng, elements) -> dict:
-    unit = rng.choice(elements)
-    return {
-        (a, b): b if a == unit else a if b == unit else rng.choice(elements)
-        for a in elements
-        for b in elements
-    }
+def interchange_holds_on_indices(flat1, flat2, n) -> bool:
+    """The per-pair loop on index tables (i⋆j at position i·n + j) that the
+    scan ran before it decided each ⋆ against every ∘ at once."""
+    for a, b, c, d in itertools.product(range(n), repeat=4):
+        ab, cd, ac, bd = a * n + b, c * n + d, a * n + c, b * n + d
+        if flat2[flat1[ab] * n + flat1[cd]] != flat1[flat2[ac] * n + flat2[bd]]:
+            return False
+    return True
+
+
+def unital_index_tables(size):
+    """The elements and the scan's unital tables, as dicts and as index
+    tables."""
+    elements = tuple(f"x{k}" for k in range(size))
+    index = {x: k for k, x in enumerate(elements)}
+    ops = [op for _, op in _unital_tables(elements)]
+    flats = [tuple(index[op[(a, b)]] for a in elements for b in elements) for op in ops]
+    return elements, ops, flats
+
+
+def kernel_partners(flats, n, masks, quads) -> list[int]:
+    return [_interchange_partners(flat, n, masks, quads) for flat in flats]
+
+
+def old_loop_partners(flats, n) -> list[int]:
+    return [
+        sum(1 << k for k, flat2 in enumerate(flats)
+            if interchange_holds_on_indices(flat1, flat2, n))
+        for flat1 in flats
+    ]
 
 
 def test_index_interchange_matches_dict_oracle():
-    rng = random.Random(8128)
-    for size in (1, 2, 3):
-        elements = tuple(f"x{k}" for k in range(size))
-        index = {x: k for k, x in enumerate(elements)}
-        quads = _interchange_positions(size)
-        # random tables, plus addition mod n, which satisfies interchange
-        # with itself
-        tables = [random_unital_table(rng, elements) for _ in range(30)]
-        tables.append({
-            (a, b): elements[(index[a] + index[b]) % size]
-            for a in elements
-            for b in elements
-        })
-        flats = [
-            tuple(index[op[(a, b)]] for a in elements for b in elements) for op in tables
+    # the partner bitset of every ⋆ against every ∘, all 243 × 243 pairs at
+    # size 3, from the kernel, the old per-pair loop and the dict oracle
+    for size, pairs in ((1, 1), (2, 4), (3, 27)):
+        elements, ops, flats = unital_index_tables(size)
+        want = [
+            sum(1 << k for k, op2 in enumerate(ops)
+                if interchange_oracle(elements, op1, op2))
+            for op1 in ops
         ]
-        outcomes = set()
-        for op1, flat1 in zip(tables, flats):
-            for op2, flat2 in zip(tables, flats):
-                want = interchange_oracle(elements, op1, op2)
-                assert _interchange_holds_on_indices(flat1, flat2, size, quads) == want
-                outcomes.add(want)
-        assert outcomes == ({True} if size == 1 else {True, False})
+        masks, quads = _interchange_kernel(flats, size)
+        assert kernel_partners(flats, size, masks, quads) == want
+        assert old_loop_partners(flats, size) == want
+        assert sum(p.bit_count() for p in want) == pairs
+
+
+def test_kernel_mutants_disagree_with_the_oracle():
+    # ⋆ and ∘ below break interchange on the one quadruple (2, 2, 2, 2);
+    # over the unital tables alone every quadruple is implied by the
+    # others, so a kernel that drops one would go unseen there
+    star = (0, 0, 1, 0, 1, 0, 0, 0, 1)
+    circ = (0, 0, 0, 0, 0, 0, 0, 0, 1)
+    assert not interchange_holds_on_indices(star, circ, 3)
+    _, _, flats = unital_index_tables(3)
+    flats += [star, circ]
+    want = old_loop_partners(flats, 3)
+    masks, quads = _interchange_kernel(flats, 3)
+    assert kernel_partners(flats, 3, masks, quads) == want
+    # one quadruple dropped: (2, 2, 2, 2) reads positions 8 and 8 of ⋆
+    kept = [q for q in quads if q[:2] != (8, 8)]
+    assert len(kept) == len(quads) - 1
+    assert kernel_partners(flats, 3, masks, kept) != want
+    # one corrupted mask: addition mod 3 recorded with 1+1 = 0 instead of 2
+    add = (0, 1, 2, 1, 2, 0, 2, 0, 1)
+    k = flats.index(add)
+    wrong = list(flats)
+    wrong[k] = add[:4] + (0,) + add[5:]
+    bad_masks, bad_quads = _interchange_kernel(wrong, 3)
+    assert bad_masks[4][2] >> k & 1 == 0 and bad_masks[4][0] >> k & 1 == 1
+    assert kernel_partners(flats, 3, bad_masks, bad_quads) != want
+
+
+def test_collapse_failures_lists_every_problem():
+    # x0 and x1 are the units; x⋆y depends on y alone (x1 ↦ x2, x2 ↦ x1) on
+    # {x1, x2}, so (x⋆y)⋆z ≠ x⋆(y⋆z) on every triple there
+    elements = ("x0", "x1", "x2")
+    op1 = {("x0", y): y for y in elements} | {(y, "x0"): y for y in elements}
+    op1 |= {("x1", "x1"): "x2", ("x1", "x2"): "x1",
+            ("x2", "x1"): "x2", ("x2", "x2"): "x1"}
+    op2 = {("x1", y): y for y in elements} | {(y, "x1"): y for y in elements}
+    op2 |= {("x0", "x0"): "x0", ("x0", "x2"): "x2",
+            ("x2", "x0"): "x2", ("x2", "x2"): "x0"}
+    assert _collapse_failures(elements, "x0", op1, "x1", op2) == [
+        ("units-differ", "x0", "x1"),
+        ("operations-differ",),
+        ("not-associative", "x1", "x1", "x1"),
+        ("not-associative", "x1", "x1", "x2"),
+        ("not-commutative", "x1", "x2"),
+        ("not-associative", "x1", "x2", "x1"),
+        ("not-associative", "x1", "x2", "x2"),
+        ("not-commutative", "x2", "x1"),
+        ("not-associative", "x2", "x1", "x1"),
+        ("not-associative", "x2", "x1", "x2"),
+        ("not-associative", "x2", "x2", "x1"),
+        ("not-associative", "x2", "x2", "x2"),
+    ]
 
 
 def test_scan_report_is_byte_identical(capsys):

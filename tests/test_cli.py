@@ -562,6 +562,19 @@ def test_pi1_rejects_a_negative_budget(tmp_path, capsys):
     assert report["simplified"] == report["presentation"]
 
 
+def test_map_search_verbs_reject_a_negative_budget(tmp_path, capsys):
+    path = write(tmp_path, "x.json", {
+        "v": 1, "dim": 2, "cells": {"0": ["v"], "1": ["a", "b"], "2": ["t"]},
+        "faces": {"a": ["v", "v"], "b": ["v", "v"], "t": ["a", "b", "a"]},
+    })
+    for argv in (["horns", path, "-n", "2", "-k", "1"], ["classify", path],
+                 ["ex", path]):
+        code, out = run(capsys, *argv, "--budget", "-5")
+        assert code == 2, argv
+        report = json.loads(out)
+        assert (report["error"], report["budget"]) == ("SchemaError", -5)
+
+
 def test_svk_verb(tmp_path, capsys):
     phi = {
         "v": 1,
@@ -675,6 +688,14 @@ def test_eckmann_hilton_verb(capsys):
     assert code == 0
     payload = json.loads(out)
     assert all(row["counterexamples"] == [] for row in payload["sizes"])
+
+
+def test_eckmann_hilton_rejects_a_size_below_one(capsys):
+    for size in ("0", "-2"):
+        code, out = run(capsys, "eckmann-hilton", "--max-size", size)
+        assert code == 2
+        report = json.loads(out)
+        assert (report["error"], report["size"]) == ("SchemaError", int(size))
 
 
 def test_emitted_artifacts_reparse(tmp_path, capsys):

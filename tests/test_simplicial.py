@@ -463,6 +463,13 @@ def test_maps_from_point_are_vertices():
     assert len(maps) == 3
 
 
+def test_enumerate_maps_rejects_a_negative_budget():
+    with pytest.raises(SchemaError) as exc:
+        enumerate_maps(standard_simplex(0, 0), boundary(2), budget=-1)
+    assert exc.value.payload["budget"] == -1
+    assert len(enumerate_maps(standard_simplex(0, 0), boundary(2), budget=3)) == 3
+
+
 def test_maps_to_point_collapse():
     maps = enumerate_maps(standard_simplex(1, 1), standard_simplex(0, 1))
     assert len(maps) == 1
