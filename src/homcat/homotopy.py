@@ -1,7 +1,8 @@
 """Path components, edge-path fundamental groups, and presentation algebra.
 
 Words are stored as tuples of signed 1-based generator indices; the JSON
-surface uses generator names with uppercase marking inverses.  Triviality
+surface uses generator names, with uppercase marking inverses where that
+reads back unambiguously and ``{"inv": name}`` elsewhere.  Triviality
 claims rest on Tietze reduction to the empty presentation, which only ever
 applies sound moves; abelian invariants come from sparse elimination of
 the unit pivots of the relator exponent matrix, then an integer Smith
@@ -38,29 +39,34 @@ class GroupPresentation:
                 if letter == 0 or abs(letter) > len(self.generators):
                     raise SchemaError(f"relator letter {letter} out of range")
 
-    def word_to_names(self, word: tuple[int, ...]) -> list[str]:
-        out = []
-        for letter in word:
-            name = self.generators[abs(letter) - 1]
-            out.append(name if letter > 0 else name.upper())
-        return out
+    def word_to_names(self, word: tuple[int, ...]) -> list[str | dict]:
+        return GroupPresentation(self.generators, [word]).to_json_dict()["rels"][0]
 
     def to_json_dict(self) -> dict:
-        return {
-            "v": 1,
-            "gens": list(self.generators),
-            "rels": [self.word_to_names(w) for w in self.relators],
-        }
+        # an inverse is the upper-cased name where parse_word reads that
+        # back as the inverse, else {"inv": name}
+        taken = set(self.generators)
+        names: dict[int, str | dict] = {}
+        for k, g in enumerate(self.generators, 1):
+            upper = g.upper()
+            plain = upper != g and upper not in taken and upper.lower() == g
+            names[k], names[-k] = g, (upper if plain else {"inv": g})
+        rels = [[names[letter] for letter in w] for w in self.relators]
+        return {"v": 1, "gens": list(self.generators), "rels": rels}
 
 
-def parse_word(tokens: list[str], generators: list[str]) -> tuple[int, ...]:
+def parse_word(tokens: list, generators: list[str]) -> tuple[int, ...]:
+    """Reads a generator's name, and for its inverse the upper-cased name
+    (unless that is a generator) or ``{"inv": name}``."""
     index = {g: k + 1 for k, g in enumerate(generators)}
     word = []
     for tok in tokens:
-        if tok in index:
+        if isinstance(tok, str) and tok in index:
             word.append(index[tok])
-        elif tok.lower() in index and tok != tok.lower():
+        elif isinstance(tok, str) and tok != tok.lower() and tok.lower() in index:
             word.append(-index[tok.lower()])
+        elif isinstance(tok, dict) and list(tok) == ["inv"] and tok["inv"] in generators:
+            word.append(-index[tok["inv"]])
         else:
             raise SchemaError(f"unknown letter {tok!r}")
     return tuple(word)
@@ -73,9 +79,8 @@ def presentation_from_json(raw: dict) -> GroupPresentation:
         if key not in {"v", "gens", "rels"}:
             raise SchemaError(f"unknown field {key!r} in presentation file")
     gens = raw.get("gens", [])
-    lowered = [g.lower() for g in gens]
-    if len(set(lowered)) != len(lowered):
-        raise SchemaError("generator names must differ case-insensitively")
+    if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
+        raise SchemaError("'gens' must be a list of strings")
     pres = GroupPresentation(
         list(gens), [parse_word(w, gens) for w in raw.get("rels", [])]
     )
@@ -228,11 +233,10 @@ def smith_normal_form(
                     pivot = (i, j)
         if pivot is None:
             break
-        if pivot != (t, t):
-            if pivot[0] != t:
-                swap_rows(t, pivot[0])
-            if pivot[1] != t:
-                swap_cols(t, pivot[1])
+        if pivot[0] != t:
+            swap_rows(t, pivot[0])
+        if pivot[1] != t:
+            swap_cols(t, pivot[1])
         dirty = False
         for i in range(t + 1, rows):
             if a[i][t] != 0:
@@ -402,17 +406,14 @@ def svk_pushout(phi1: GroupHomSpec, phi2: GroupHomSpec) -> GroupPresentation:
         raise SchemaError("the two legs must share their source presentation")
     phi1.validate()
     phi2.validate()
-    gens1 = list(phi1.target.generators)
-    taken = set(gens1)
-    rename2 = {}
-    for g in phi2.target.generators:
-        fresh = g
-        while fresh in taken:
-            fresh = fresh + "_2"
-        rename2[g] = fresh
-        taken.add(fresh)
-    gens = gens1 + [rename2[g] for g in phi2.target.generators]
-    offset = len(gens1)
+    gens = list(phi1.target.generators)
+    offset = len(gens)
+    taken = set(gens)
+    for g in phi2.target.generators:  # renamed g_2, g_2_2, ... on a clash
+        while g in taken:
+            g += "_2"
+        gens.append(g)
+        taken.add(g)
 
     def shift(word: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(
@@ -421,10 +422,8 @@ def svk_pushout(phi1: GroupHomSpec, phi2: GroupHomSpec) -> GroupPresentation:
 
     relators = list(phi1.target.relators)
     relators += [shift(w) for w in phi2.target.relators]
-    for k, g in enumerate(phi1.source.generators):
-        w1 = phi1.images[g]
-        w2 = shift(phi2.images[g])
-        relators.append(free_reduce(w1 + invert_word(w2)))
+    relators += [free_reduce(phi1.images[g] + invert_word(shift(phi2.images[g])))
+                 for g in phi1.source.generators]
     pres = GroupPresentation(gens, [w for w in relators if w])
     pres.validate()
     return pres
@@ -433,30 +432,34 @@ def svk_pushout(phi1: GroupHomSpec, phi2: GroupHomSpec) -> GroupPresentation:
 # -- Tietze simplification -------------------------------------------------------
 
 
-class _Relator:
-    """What the Tietze loop asks of a relator, worked out once per word."""
-
-    __slots__ = ("reduced", "key", "lone", "letters")
-
-    def __init__(self, word: tuple[int, ...]):
-        self.reduced = reduced = cyclic_reduce(word)
-        counts: dict[int, int] = {}
-        for letter in reduced:
-            counts[abs(letter)] = counts.get(abs(letter), 0) + 1
-        self.letters = counts.keys()  # the generators it uses
-        self.lone = None  # the first generator that occurs exactly once
-        for g, c in counts.items():
-            if c == 1:
-                self.lone = g
-                break
-        # for deduplication: the least rotation of the word or its inverse;
-        # it starts with their least letter, minus the largest generator
-        least = -max(counts, default=0)
-        self.key = min(
-            [w[k:] + w[:k] for w in (reduced, invert_word(reduced))
-             for k in range(len(w)) if w[k] == least],
-            default=(),
-        )
+def _relator_facts(word: tuple[int, ...]) -> tuple:
+    """``(reduced, letters, lone, key)`` of a relator: its cyclic reduction,
+    the generators it uses (in order of first use), the first of them
+    that occurs once (or None), and its dedup key, the least rotation of
+    the reduction or its inverse (``()`` for the empty word)."""
+    reduced = cyclic_reduce(word)
+    if not reduced:
+        return reduced, (), None, ()
+    repeated: dict[int, bool] = {}  # generator -> occurs more than once
+    for letter in reduced:
+        g = letter if letter > 0 else -letter
+        repeated[g] = g in repeated
+    lone = None
+    for g, twice in repeated.items():
+        if not twice:
+            lone = g
+            break
+    # the key starts with the least letter of the two words, minus the
+    # largest generator m; if m occurs once, one rotation starts there
+    m = max(repeated)
+    if repeated[m]:
+        key = min(w[k:] + w[:k] for w in (reduced, invert_word(reduced))
+                  for k in range(len(w)) if w[k] == -m)
+    else:  # the one rotation of the word or its inverse that starts at -m
+        w = reduced if -m in reduced else invert_word(reduced)
+        p = w.index(-m)
+        key = w[p:] + w[:p]
+    return reduced, repeated.keys(), lone, key
 
 
 def _substitute(
@@ -481,78 +484,77 @@ def tietze_simplify(pres: GroupPresentation, budget: int = 100) -> GroupPresenta
     and eliminating a generator that occurs exactly once in some relator.
     The isomorphism class of the group never changes.
 
-    Each relator keeps its slot (``None`` once dropped) and the input's
-    generator numbers until the end.  A dedup move keeps the first slot of
-    every key held twice; otherwise the least slot with a lone generator
-    is the victim, and its elimination rewrites only the slots that use
-    that generator.  Three indexes say where to look: the slots using each
-    generator, the live slots of each dedup key (two words get equal keys
-    iff they have the same rotations of themselves and their inverses),
-    and a heap of the slots that had a lone generator, checked lazily.
-    ``budget`` caps the moves; a negative one is a :class:`SchemaError`.
+    Each relator keeps its slot (``None`` once dropped), its word's facts
+    (:func:`_relator_facts`, worked out once per word) beside it, and the
+    input's generator numbers until the end.  A dedup move keeps the first
+    slot of every key held twice; otherwise the least slot with a lone
+    generator is the victim, and its elimination rewrites only the slots
+    that use that generator.  Three indexes say where to look: the slots
+    using each generator, the live slots of each dedup key (a bare slot
+    until a second shares it; two words get equal keys iff they have the
+    same rotations of themselves and their inverses), and a heap of the
+    slots that had a lone generator, checked lazily.  ``budget`` caps the
+    moves; a negative one is a :class:`SchemaError`.
     """
     if budget < 0:
         raise SchemaError(
             f"Tietze move budget must be nonnegative, got {budget}", budget=budget
         )
-    memo: dict[tuple[int, ...], _Relator] = {}
-
-    def info(w: tuple[int, ...]) -> _Relator:
-        got = memo.get(w)
-        if got is None:
-            got = _Relator(w)
-            memo[w] = memo[got.reduced] = got
-        return got
-
+    memo: dict[tuple[int, ...], tuple] = {}  # word -> _relator_facts(word)
     slots: list[tuple[int, ...] | None] = [None] * len(pres.relators)
-    occurs: dict[int, set[int]] = {
-        g: set() for g in range(1, len(pres.generators) + 1)
-    }
-    holders: dict[tuple[int, ...], set[int]] = {}
+    facts: list[tuple] = [()] * len(pres.relators)  # of each live slot
+    occurs = [set() for _ in range(len(pres.generators) + 1)]  # by generator
+    # a key's live slots: a bare slot, or a set of two or more (in twice)
+    holders: dict[tuple[int, ...], int | set[int]] = {}
     twice: set[tuple[int, ...]] = set()
-    lone: list[int] = []
 
     def drop(k: int) -> None:
-        rel = info(slots[k])
+        _, letters, _, key = facts[k]
         slots[k] = None
-        for g in rel.letters:
+        for g in letters:
             occurs[g].discard(k)
-        held = holders[rel.key]
-        held.discard(k)
-        if len(held) < 2:
-            twice.discard(rel.key)
+        held = holders[key]
+        if held.__class__ is int:
+            del holders[key]
+        else:
+            held.discard(k)
+            if len(held) == 1:
+                holders[key] = held.pop()
+                twice.discard(key)
 
-    def put(k: int, word: tuple[int, ...]) -> None:
-        rel = info(word)
-        if not rel.reduced:
-            return
-        slots[k] = rel.reduced
-        for g in rel.letters:
+    def put(k: int, word: tuple[int, ...]) -> bool:
+        """Slot k takes ``word`` reduced, if nonempty; True if it has a lone generator."""
+        got = memo.get(word)
+        if got is None:
+            got = memo[word] = _relator_facts(word)
+        reduced, letters, lone_g, key = got
+        if not reduced:
+            return False
+        slots[k], facts[k] = reduced, got
+        for g in letters:
             occurs[g].add(k)
-        held = holders.setdefault(rel.key, set())
-        held.add(k)
-        if len(held) > 1:
-            twice.add(rel.key)
-        if rel.lone is not None:
-            heapq.heappush(lone, k)
+        held = holders.setdefault(key, k)
+        if held is not k:  # setdefault hands back k itself unless the key was held
+            if held.__class__ is int:
+                held = holders[key] = {held}
+                twice.add(key)
+            held.add(k)
+        return lone_g is not None
 
-    for k, word in enumerate(pres.relators):
-        put(k, word)
+    # in slot order, so already a heap
+    lone = [k for k, word in enumerate(pres.relators) if put(k, word)]
     eliminated: set[int] = set()
-    moves = 0
-    while moves < budget:
-        moves += 1
+    for _ in range(budget):  # one move a round
         if twice:
             for key in list(twice):
                 for k in sorted(holders[key])[1:]:
                     drop(k)
             continue
-        while lone and (slots[lone[0]] is None or info(slots[lone[0]]).lone is None):
+        while lone and (slots[lone[0]] is None or facts[lone[0]][2] is None):
             heapq.heappop(lone)
         if not lone:
             break
-        word = slots[lone[0]]
-        g_abs = info(word).lone
+        word, g_abs = slots[lone[0]], facts[lone[0]][2]
         pos = next(k for k, letter in enumerate(word) if abs(letter) == g_abs)
         # word = u g^e v  =>  g^e = u^{-1} v^{-1}, g = (v u)^{-e}
         u, e, v = word[:pos], word[pos], word[pos + 1:]
@@ -562,17 +564,15 @@ def tietze_simplify(pres: GroupPresentation, budget: int = 100) -> GroupPresenta
         for k in sorted(occurs[g_abs]):
             rewritten = _substitute(slots[k], g_abs, replacement, inverse)
             drop(k)
-            put(k, rewritten)
+            if put(k, rewritten):
+                heapq.heappush(lone, k)
         eliminated.add(g_abs)
     kept = [k for k in range(1, len(pres.generators) + 1) if k not in eliminated]
-    number = {k: n for n, k in enumerate(kept, 1)}
+    number = {k: n for n, k in enumerate(kept, 1)}  # and -k -> -n
+    number.update([(-k, -n) for k, n in number.items()])
     out = GroupPresentation(
         [pres.generators[k - 1] for k in kept],
-        [
-            tuple(number[letter] if letter > 0 else -number[-letter] for letter in r)
-            for r in slots
-            if r is not None
-        ],
+        [tuple(map(number.__getitem__, r)) for r in slots if r is not None],
     )
     out.validate()
     return out

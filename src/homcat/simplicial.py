@@ -183,9 +183,6 @@ class SimplicialSet:
         self.max_dim = max_dim
         self.cells = {n: list(cells.get(n, [])) for n in range(max_dim + 1)}
         self.faces = dict(faces)
-        self._index = {
-            (n, name): k for n in self.cells for k, name in enumerate(self.cells[n])
-        }
         self._base_dims = {
             name: n for n in self.cells for name in self.cells[n]
         }
@@ -227,7 +224,7 @@ class SimplicialSet:
         if out is None:
             base_dim = self._base_dims[base]
             if not word:
-                out = tuple((r.base, r.word) for r in self.faces.get((base_dim, base), ()))
+                out = tuple([(r.base, r.word) for r in self.faces.get((base_dim, base), ())])
             else:
                 pairs = []
                 for i in range(base_dim + len(word) + 1):
@@ -298,25 +295,27 @@ class SimplicialSet:
         if len(set(names)) != len(names):
             dup = next(n for n in names if names.count(n) > 1)
             raise SchemaError(f"cell name {dup!r} is reused across dimensions")
-        for name in names:
+        for name in [name for name in names if " " in name]:
             head = name.split(" ", 1)[0]
-            if " " in name and head.startswith("s") and head[1:].isdigit():
-                raise SchemaError(
-                    f"cell name {name!r} starts like a degeneracy token"
-                )
+            if head.startswith("s") and head[1:].isdigit():
+                raise SchemaError(f"cell name {name!r} starts like a degeneracy token")
+        base_dims = self._base_dims  # one entry per name, as names are unique
         for (n, name), refs in self.faces.items():
-            if (n, name) not in self._index:
+            if base_dims.get(name) != n:
                 raise SchemaError(f"faces listed for unknown cell {name!r}")
             if len(refs) != n + 1:
                 raise SchemaError(f"cell {name!r} needs {n + 1} faces")
             for ref in refs:
-                if self.base_dim(ref) + len(ref.word) != n - 1:
+                word = ref.word
+                # base_dim raises on an unknown base
+                dim = base_dims[ref.base] if ref.base in base_dims else self.base_dim(ref)
+                if dim + len(word) != n - 1:
                     raise SchemaError(f"face of {name!r} has wrong dimension")
-                if ref.word and normalize_word(ref.word) != ref.word:
+                if word and normalize_word(word) != word:
                     raise SchemaError(f"face reference of {name!r} not normalized")
                 # s_j needs a cell of dimension at least j; in a normal form
                 # the outermost letter, on an (n - 2)-cell, bounds the rest
-                if ref.word and ref.word[0] > n - 2:
+                if word and word[0] > n - 2:
                     raise SchemaError(
                         f"degeneracy in face {ref.serialize()!r} of {name!r} "
                         "is out of range"
@@ -325,17 +324,18 @@ class SimplicialSet:
             for name in self.cells[n]:
                 if (n, name) not in self.faces:
                     raise SchemaError(f"cell {name!r} has no face data")
-        # simplicial identities d_i d_j = d_{j-1} d_i for i < j
+        # simplicial identities d_i d_j = d_{j-1} d_i for i < j, off the face
+        # memo (a face of an n-cell, n >= 2, has n faces: a hit is not empty)
+        memo = self._face_memo
         for n in range(2, self.max_dim + 1):
+            pairs = [(i, j) for j in range(1, n + 1) for i in range(j)]
             for name in self.cells[n]:
-                below = [self.faces_of(r.base, r.word) for r in self.faces[(n, name)]]
-                for j in range(1, n + 1):
-                    for i in range(j):
-                        if below[j][i] != below[i][j - 1]:
-                            raise InvalidStructure(
-                                f"simplicial identity fails on {name!r}: "
-                                f"d{i} d{j} != d{j - 1} d{i}"
-                            )
+                below = [memo.get((r.base, r.word)) or self.faces_of(r.base, r.word)
+                         for r in self.faces[(n, name)]]
+                for i, j in pairs:
+                    if below[j][i] != below[i][j - 1]:
+                        raise InvalidStructure(f"simplicial identity fails on {name!r}: "
+                                               f"d{i} d{j} != d{j - 1} d{i}")
 
     def to_json_dict(self) -> dict:
         names = [name for n in self.cells for name in self.cells[n]]

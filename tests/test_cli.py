@@ -12,7 +12,7 @@ import pytest
 
 import homcat
 from homcat.cli import _parser, main
-from homcat.homotopy import pi1
+from homcat.homotopy import pi1, presentation_from_json
 from homcat.modelcat import saturate_two_of_three
 from homcat.setcalc import diagram_to_json
 from homcat.simplicial import horn, nerve
@@ -589,6 +589,39 @@ def test_svk_verb(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["gens"] == ["x", "x_2"]
     assert payload["abelianization"] == {"rank": 1, "torsion": []}
+
+
+def test_pi1_relators_read_back_with_loops_equal_up_to_case(tmp_path, capsys):
+    # loops a and A at one vertex; the 2-cell gives the relator a·A·a⁻¹
+    path = write(tmp_path, "aA.json", {
+        "v": 1, "dim": 2, "cells": {"0": ["v"], "1": ["a", "A"], "2": ["t"]},
+        "faces": {"a": ["v", "v"], "A": ["v", "v"], "t": ["A", "a", "a"]},
+    })
+    code, out = run(capsys, "pi1", path, "--base", "v")
+    assert code == 0
+    payload = json.loads(out[out.index("{"):])
+    assert payload["presentation"]["rels"] == [["a", "A", {"inv": "a"}]]
+    again = presentation_from_json(payload["presentation"])
+    assert (again.generators, again.relators) == (["a", "A"], [(1, 2, -1)])
+
+
+def test_svk_relators_read_back_with_generators_equal_up_to_case(tmp_path, capsys):
+    def leg(gen):
+        return {
+            "v": 1,
+            "source": {"v": 1, "gens": ["c"], "rels": []},
+            "target": {"v": 1, "gens": [gen], "rels": []},
+            "images": {"c": [gen]},
+        }
+
+    code, out = run(capsys, "svk", write(tmp_path, "p1.json", leg("a")),
+                    write(tmp_path, "p2.json", leg("A")))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload.pop("abelianization") == {"rank": 1, "torsion": []}
+    assert payload["rels"] == [["a", {"inv": "A"}]]
+    again = presentation_from_json(payload)
+    assert (again.generators, again.relators) == (["a", "A"], [(1, -2)])
 
 
 def test_sd_ex_and_ex_iter(tmp_path, capsys):

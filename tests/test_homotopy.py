@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -10,7 +12,7 @@ from homcat import homotopy
 from homcat.homotopy import (
     _abelianized_trivial,
     _edge_endpoints,
-    _Relator,
+    _relator_facts,
     GroupHomSpec,
     GroupPresentation,
     abelian_invariants,
@@ -133,6 +135,45 @@ def test_presentation_json_roundtrip():
     again = presentation_from_json(pres.to_json_dict())
     assert again.generators == pres.generators
     assert again.relators == pres.relators
+
+
+def test_inverse_letters_read_back_when_upper_case_is_ambiguous():
+    # the upper-cased name is the name itself, another generator, or
+    # lower-cases to a different name: the inverse is written {"inv": g}
+    pres = GroupPresentation(["1", "a", "A", "Ab"], [(-1,), (2, -2, -3), (-4, 4)])
+    assert pres.to_json_dict()["rels"] == [
+        [{"inv": "1"}],
+        ["a", {"inv": "a"}, {"inv": "A"}],
+        [{"inv": "Ab"}, "Ab"],
+    ]
+    # names whose upper case is unambiguous keep it
+    plain = GroupPresentation(["xyz-abc", "b1_3", "d"], [(-1, -2, -3)])
+    assert plain.to_json_dict()["rels"] == [["XYZ-ABC", "B1_3", "D"]]
+
+
+def test_presentation_json_round_trip_over_names_equal_up_to_case():
+    pool = ["a", "A", "b1", "B1", "1", "x_2", "X_2", "ab", "Ab", "aB", "AB",
+            "g", "g^-1", "ß", "SS", "ss", "e1", "E1"]
+    rng = random.Random(4242)
+    for _ in range(300):
+        gens = rng.sample(pool, rng.randint(1, 8))
+        rels = [
+            tuple(rng.choice([1, -1]) * rng.randint(1, len(gens))
+                  for _ in range(rng.randint(0, 6)))
+            for _ in range(rng.randint(0, 4))
+        ]
+        pres = GroupPresentation(gens, rels)
+        again = presentation_from_json(json.loads(json.dumps(pres.to_json_dict())))
+        assert (again.generators, again.relators) == (gens, rels), gens
+
+
+def test_inverse_letter_form_is_checked():
+    with pytest.raises(SchemaError):
+        parse_word([{"inv": "c"}], ["a", "b"])
+    with pytest.raises(SchemaError):
+        parse_word([{"inv": "a", "x": 1}], ["a", "b"])
+    with pytest.raises(SchemaError):
+        presentation_from_json({"v": 1, "gens": ["a", 2], "rels": []})
 
 
 # -- pi0 -----------------------------------------------------------------------
@@ -719,7 +760,7 @@ def test_relator_key_is_the_least_rotation_of_the_word_or_its_inverse():
         word = tuple(
             rng.choice([1, -1]) * rng.randint(1, 4) for _ in range(rng.randint(0, 9))
         )
-        assert _Relator(word).key == _canonical_cyclic(cyclic_reduce(word)), word
+        assert _relator_facts(word)[3] == _canonical_cyclic(cyclic_reduce(word)), word
 
 
 def test_tietze_keeps_torus_presentation():
@@ -883,6 +924,57 @@ def test_tietze_matches_renumbering_oracle_on_seeded_surfaces_twice_subdivided(s
         got = tietze_simplify(pres, budget=100)
         want = tietze_oracle(pres, budget=100)
         assert (got.generators, got.relators) == (want.generators, want.relators)
+
+
+# sha256 per seed of the sd-surfaces path: sd and sd² of each seeded
+# surface, and at every level (the surface, sd, sd²) π₁ at the first vertex,
+# its Tietze simplification at budgets 0, 1, 100 and 10⁶ and its abelian
+# invariants.  Any change to Tietze, pi1, sd or the JSON they emit shows here.
+SD_SURFACE_DIGESTS = {
+    1: {
+        "sd": "f5dd57b843171cdb80f186d37fadfd668a49045e17632767c58930c67e94ce3f",
+        "sd2": "836cdb150a954ac83d2134b0a47c9c3fd979835df78c492db75ae7ddf1acfda5",
+        "pi1": "9326d388f4758dc44e1c24ed1bd532e5954c73789e755017add4d00ce5ea8266",
+        "tietze": "5df19e520a1ebf82cc93a9264c0effef4654db1f923fb047711692f03b023771",
+        "abelian": "7ac5da98763ea8fa4c5a430c2a908156f3d4486605dc89508102991e0c0baf3f",
+    },
+    2: {
+        "sd": "c55af3f43a06ee9be79a12478193e2f9942c26d93c2657ea9f400dbf1665fedd",
+        "sd2": "f35bbcba8cdaaa45d0751921f4133f85171a6803bad2370505f7ada635da1281",
+        "pi1": "ae93a330ba8916469b03ae041f24ee05dabe1a27cbb892872a30ce7daf54b637",
+        "tietze": "73404a83ffee8dfaface8aece29ee8bea4c330a61ed716bfaa08c49522175e85",
+        "abelian": "7ac5da98763ea8fa4c5a430c2a908156f3d4486605dc89508102991e0c0baf3f",
+    },
+    3: {
+        "sd": "b357e4806a212c173bf917391e1eb45cca6962be10b773936e94fbf446220e34",
+        "sd2": "f935a30443760ab3824aa24b17cf743ed389449fa56822585bc3bda4f8aad3be",
+        "pi1": "ba3df4fefde4c4fcb53ba3816ab674af9a7238b6910091b72174ff1da6f09587",
+        "tietze": "a63ae1385dea8c6e5f9e102cadc188b3680be550833e0d4709fce152ca511c25",
+        "abelian": "7ac5da98763ea8fa4c5a430c2a908156f3d4486605dc89508102991e0c0baf3f",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sd_surface_path_is_byte_identical(seed):
+    parts = {"sd": [], "sd2": [], "pi1": [], "tietze": [], "abelian": []}
+    for x in corpus.seeded_surfaces(seed):
+        for level in range(3):
+            if level:
+                x = sd(x).complex
+                parts["sd" if level == 1 else "sd2"].append(x.to_json_dict())
+            pres = pi1(x, x.cells[0][0])
+            parts["pi1"].append(pres.to_json_dict())
+            parts["tietze"].append([
+                tietze_simplify(pres, budget=budget).to_json_dict()
+                for budget in (0, 1, 100, 10**6)
+            ])
+            parts["abelian"].append(abelian_invariants(pres))
+    got = {
+        kind: hashlib.sha256(json.dumps(value).encode()).hexdigest()
+        for kind, value in parts.items()
+    }
+    assert got == SD_SURFACE_DIGESTS[seed]
 
 
 def record_rewrites(monkeypatch) -> list[tuple[int, tuple[int, ...]]]:
