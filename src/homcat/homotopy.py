@@ -56,8 +56,10 @@ class GroupPresentation:
 
 
 def parse_word(tokens: list, generators: list[str]) -> tuple[int, ...]:
-    """Reads a generator's name, and for its inverse the upper-cased name
-    (unless that is a generator) or ``{"inv": name}``."""
+    """Reads a list of letters: a generator's name, and for its inverse the
+    upper-cased name (unless that is a generator) or ``{"inv": name}``."""
+    if not isinstance(tokens, list):
+        raise SchemaError(f"a word must be a list of letters, got {tokens!r}")
     index = {g: k + 1 for k, g in enumerate(generators)}
     word = []
     for tok in tokens:
@@ -81,9 +83,10 @@ def presentation_from_json(raw: dict) -> GroupPresentation:
     gens = raw.get("gens", [])
     if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
         raise SchemaError("'gens' must be a list of strings")
-    pres = GroupPresentation(
-        list(gens), [parse_word(w, gens) for w in raw.get("rels", [])]
-    )
+    rels = raw.get("rels", [])
+    if not isinstance(rels, list):
+        raise SchemaError("'rels' must be a list of words")
+    pres = GroupPresentation(list(gens), [parse_word(w, gens) for w in rels])
     pres.validate()
     return pres
 
@@ -345,6 +348,9 @@ class GroupHomSpec:
     images: dict[str, tuple[int, ...]]  # generator name -> word in target
 
     def validate(self) -> None:
+        for g in self.images:
+            if g not in self.source.generators:
+                raise SchemaError(f"image given for {g!r}, which is no source generator")
         for g in self.source.generators:
             if g not in self.images:
                 raise SchemaError(f"no image for generator {g!r}")
@@ -390,10 +396,10 @@ def homspec_from_json(raw: dict) -> GroupHomSpec:
             raise SchemaError(f"unknown field {key!r} in homomorphism file")
     source = presentation_from_json(raw.get("source", {}))
     target = presentation_from_json(raw.get("target", {}))
-    images = {
-        g: parse_word(w, target.generators)
-        for g, w in raw.get("images", {}).items()
-    }
+    images = raw.get("images", {})
+    if not isinstance(images, dict):
+        raise SchemaError("'images' must map generator names to words")
+    images = {g: parse_word(w, target.generators) for g, w in images.items()}
     spec = GroupHomSpec(source, target, images)
     spec.validate()
     return spec

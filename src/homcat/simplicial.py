@@ -472,6 +472,15 @@ class SimplicialMap:
                                 f"map breaks d{i} on cell {name!r}"
                             )
 
+    def images(self) -> list[CellRef]:
+        """The images of the source's cells, in the source's cell order."""
+        cell_map = self.cell_map
+        return [
+            cell_map[(n, name)]
+            for n in range(self.source.max_dim + 1)
+            for name in self.source.cells[n]
+        ]
+
     def signature(self) -> tuple:
         return tuple(
             (n, name, self.cell_map[(n, name)].serialize())
@@ -488,6 +497,25 @@ class SimplicialMap:
                 for key, ref in self.cell_map.items()
             },
         )
+
+
+def image_texts(images, texts: dict[CellRef, str]) -> tuple[str, ...]:
+    """The serialized ``images``, each distinct reference serialized once
+    through ``texts``, a cache that callers may share.
+
+    Given a map's :meth:`SimplicialMap.images`, this is its
+    ``signature()`` without the ``(n, name)`` part of each entry.  That
+    part is the same for all maps out of one source, so for such maps
+    these tuples order and compare exactly like their signatures, while
+    every map's tuple shares the strings of the others.
+    """
+    out = []
+    for ref in images:
+        text = texts.get(ref)
+        if text is None:
+            text = texts[ref] = ref.serialize()
+        out.append(text)
+    return tuple(out)
 
 
 def enumerate_maps(
@@ -541,7 +569,8 @@ def enumerate_maps(
             del assignment[(n, name)]
 
     extend(0)
-    found.sort(key=lambda m: m.signature())
+    texts: dict[CellRef, str] = {}
+    found.sort(key=lambda m: image_texts(m.images(), texts))
     return found
 
 

@@ -28,6 +28,7 @@ from .simplicial import (
     apply_delta_ref,
     classify,
     enumerate_maps,
+    image_texts,
     nerve,
     nerve_names,
     nerve_map,
@@ -460,14 +461,18 @@ def last_vertex_simplex(n: int, max_dim: int | None = None) -> SimplicialMap:
 
 @dataclass
 class ExResult:
+    """Ex(X) with its levels of maps sd(Δⁿ) → X.  ``level_name[n]`` names
+    each level-n map by the key :func:`image_texts` gives it: the texts of
+    its images, in the cell order of sd(Δⁿ)."""
+
     complex: SimplicialSet
     maps: dict[int, list[SimplicialMap]]
     ref_of: dict[tuple[int, str], CellRef]
-    level_name: dict[int, dict[tuple, str]]
+    level_name: dict[int, dict[tuple[str, ...], str]]
     source: SimplicialSet
 
     def ref_of_map(self, n: int, m: SimplicialMap) -> CellRef:
-        return self.ref_of[(n, self.level_name[n][m.signature()])]
+        return self.ref_of[(n, self.level_name[n][image_texts(m.images(), {})])]
 
 
 def ex(
@@ -475,7 +480,13 @@ def ex(
     budget: int = DEFAULT_HORN_BUDGET,
     allow_large: bool = False,
 ) -> ExResult:
-    """Ex(X): level n holds the simplicial maps sd(Δⁿ) → X."""
+    """Ex(X): level n holds the simplicial maps sd(Δⁿ) → X.
+
+    A map is named by the texts of its images (:func:`image_texts`), each
+    distinct image serialized once per call.  The operator tables apply
+    each map to the images of sd of a coface or codegeneracy, so no
+    composite map is built.
+    """
     nondeg_total = sum(len(x.cells[n]) for n in range(x.max_dim + 1))
     if x.max_dim > 2 and nondeg_total > 50 and not allow_large:
         raise BudgetExceeded(
@@ -486,29 +497,33 @@ def ex(
     n_top = x.max_dim
     maps: dict[int, list[SimplicialMap]] = {}
     levels: dict[int, list[str]] = {}
-    level_name: dict[int, dict[tuple, str]] = {}
+    level_name: dict[int, dict[tuple[str, ...], str]] = {}
+    texts: dict[CellRef, str] = {}
     for n in range(n_top + 1):
         found = enumerate_maps(sd_simplex(n, n_top), x, budget=budget)
         maps[n] = found
         levels[n] = [f"m{n}_{k}" for k in range(len(found))]
-        level_name[n] = {m.signature(): f"m{n}_{k}" for k, m in enumerate(found)}
+        level_name[n] = {
+            image_texts(m.images(), texts): name for m, name in zip(found, levels[n])
+        }
 
-    face_op = {}
-    deg_op = {}
-    for n in range(1, n_top + 1):
-        for i in range(n + 1):
-            pre = sd_elementary_map(n, "d", i, n_top)
-            face_op[(n, i)] = {
-                levels[n][k]: level_name[n - 1][pre.then(g).signature()]
-                for k, g in enumerate(maps[n])
-            }
-    for n in range(n_top):
-        for i in range(n + 1):
-            pre = sd_elementary_map(n, "s", i, n_top)
-            deg_op[(n, i)] = {
-                levels[n][k]: level_name[n + 1][pre.then(g).signature()]
-                for k, g in enumerate(maps[n])
-            }
+    def table(n: int, kind: str, i: int, names: dict[tuple[str, ...], str]):
+        pre_images = sd_elementary_map(n, kind, i, n_top).images()
+        return {
+            name: names[image_texts([g.apply(r) for r in pre_images], texts)]
+            for g, name in zip(maps[n], levels[n])
+        }
+
+    face_op = {
+        (n, i): table(n, "d", i, level_name[n - 1])
+        for n in range(1, n_top + 1)
+        for i in range(n + 1)
+    }
+    deg_op = {
+        (n, i): table(n, "s", i, level_name[n + 1])
+        for n in range(n_top)
+        for i in range(n + 1)
+    }
     model = LevelwiseSSet(n_top, levels, face_op, deg_op)
     model.verify()
     complex_, ref_of, _ = model.to_presentation("x")

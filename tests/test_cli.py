@@ -591,6 +591,57 @@ def test_svk_verb(tmp_path, capsys):
     assert payload["abelianization"] == {"rank": 1, "torsion": []}
 
 
+def svk_leg_with(**fields) -> dict:
+    """Z = <c> into the free group on a and b, c going to a, with
+    ``fields`` replaced."""
+    return {
+        "v": 1,
+        "source": {"v": 1, "gens": ["c"], "rels": []},
+        "target": {"v": 1, "gens": ["a", "b"], "rels": []},
+        "images": {"c": ["a"]},
+        **fields,
+    }
+
+
+def free_target(rels) -> dict:
+    return {"v": 1, "gens": ["a", "b"], "rels": rels}
+
+
+# each was read letter by letter, accepted, or crashed with a traceback
+MALFORMED_SVK_LEGS = {
+    "relator-spelt-as-a-string": svk_leg_with(target=free_target(["aB"])),
+    "relators-as-a-string": svk_leg_with(target=free_target("a")),
+    "relator-that-is-a-number": svk_leg_with(target=free_target([5])),
+    "images-as-a-list": svk_leg_with(images=[["a"]]),
+    "image-spelt-as-a-string": svk_leg_with(images={"c": "ab"}),
+    "image-of-no-generator": svk_leg_with(images={"c": ["a"], "zzz": ["a", "a"]}),
+}
+
+
+@pytest.mark.parametrize("label", sorted(MALFORMED_SVK_LEGS))
+def test_svk_rejects_a_malformed_leg(tmp_path, capsys, label):
+    good = write(tmp_path, "good.json", svk_leg_with())
+    bad = write(tmp_path, "bad.json", MALFORMED_SVK_LEGS[label])
+    code, out = run(capsys, "svk", bad, good)
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"] == "SchemaError"
+    if label == "image-of-no-generator":
+        assert "'zzz'" in report["message"]
+
+
+def test_svk_reads_inverse_tokens(tmp_path, capsys):
+    leg = svk_leg_with(
+        target=free_target([[{"inv": "a"}, "b"]]), images={"c": [{"inv": "b"}]}
+    )
+    code, out = run(capsys, "svk", write(tmp_path, "p1.json", leg),
+                    write(tmp_path, "p2.json", svk_leg_with()))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["rels"][0] == ["A", "b"]
+    assert payload["abelianization"] == {"rank": 2, "torsion": []}
+
+
 def test_pi1_relators_read_back_with_loops_equal_up_to_case(tmp_path, capsys):
     # loops a and A at one vertex; the 2-cell gives the relator a·A·a⁻¹
     path = write(tmp_path, "aA.json", {
@@ -638,6 +689,33 @@ def test_sd_ex_and_ex_iter(tmp_path, capsys):
     assert code == 0
     stages = json.loads(out)["stages"]
     assert len(stages) == 2
+
+
+# sha256 of stdout of the verbs that build Ex: how Ex names and looks up
+# its maps must not change a byte of either report
+PINNED_EX_REPORTS = [
+    ("s1", ["ex"],
+     "f674531d7ef52d414ccd0d639f9fc43782e2fa2d37a340d748f34c2935ba5509"),
+    ("horn21", ["ex"],
+     "fdff6723224378386810fbe947c18cc25bba3739693fece2489520e9101e1d68"),
+    ("horn21", ["ex-iter", "-k", "1"],
+     "579d3297900af83b160eb5b70e0e06abecf58926eb2d5d5584153ca6de4af7f1"),
+    ("arrow", ["ex-iter", "-k", "1"],
+     "8ed9f81445585a75a4165ecb42355a564c9f15cdb34927d2661a23eb119e841f"),
+]
+
+
+@pytest.mark.parametrize("complex_name,argv,digest", PINNED_EX_REPORTS)
+def test_ex_reports_are_byte_identical(tmp_path, capsys, complex_name, argv, digest):
+    x = {
+        "s1": s1_model,
+        "horn21": lambda: horn(2, 1),
+        "arrow": lambda: nerve(corpus.walking_arrow(), 2),
+    }[complex_name]()
+    path = write(tmp_path, "x.json", x.to_json_dict())
+    code, out = run(capsys, argv[0], path, *argv[1:])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_localize_verb(tmp_path, capsys):

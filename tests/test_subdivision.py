@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import random
 from dataclasses import dataclass
 
 import pytest
 
-from homcat import fincat
+from homcat import fincat, simplicial, subdivision
 from homcat.errors import BudgetExceeded, SchemaError
 from homcat.fincat import quotient as _union_find
 from homcat.simplicial import (
@@ -19,6 +20,7 @@ from homcat.simplicial import (
     boundary,
     enumerate_maps,
     horn,
+    image_texts,
     nerve,
     normalize_word,
     parse_cell_ref,
@@ -223,6 +225,109 @@ def test_ex_guard_on_large_high_dimensional_input():
     )
     with pytest.raises(BudgetExceeded):
         ex(big)
+
+
+def loops_e_f() -> SimplicialSet:
+    """One vertex a, two loops e, f and a 2-cell t with faces (e, f, e).
+    The texts and the (base, word) pairs of its cells order differently:
+    "e" < "s0 a" but ("a", (0,)) < ("e", ()), and "s0 f" < "s1 e" but
+    ("e", (1,)) < ("f", (0,))."""
+    a, e, f = CellRef("a"), CellRef("e"), CellRef("f")
+    x = SimplicialSet(2, {0: ["a"], 1: ["e", "f"], 2: ["t"]}, {
+        (1, "e"): (a, a), (1, "f"): (a, a), (2, "t"): (e, f, e),
+    })
+    x.validate()
+    return x
+
+
+def sha256_of(payload) -> str:
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_ex_of_ex_is_byte_identical():
+    twice = ex(ex(standard_simplex(1, 1)).complex).complex
+    assert sha256_of(twice.to_json_dict()) == (
+        "332e16787650bb222fd012b2dbc7ac27dceaaafb98b6c605a2e62e5a59c73943")
+
+
+def unit_on_loops_e_f() -> dict[str, str]:
+    unit = ex_unit(loops_e_f())
+    return {f"{n} {name}": ref.serialize() for (n, name), ref in unit.cell_map.items()}
+
+
+# the names the unit of loops_e_f lands on, recorded before Ex keyed its
+# maps by image texts
+UNIT_ON_LOOPS_E_F = {"0 a": "x0_0", "1 e": "x1_2", "1 f": "x1_5", "2 t": "x2_28"}
+
+
+def test_ex_unit_names_follow_the_image_texts():
+    cell_map = unit_on_loops_e_f()
+    assert cell_map == UNIT_ON_LOOPS_E_F
+    assert sha256_of(cell_map) == (
+        "fa1c945e7db40d8e5209f6d4a871eb318ccd8a318791422b430d0ac953636702")
+
+
+def image_text_cases() -> list[list[SimplicialMap]]:
+    """Every enumerate_maps result from sd(Δⁿ) and small complexes into the
+    corpus complexes, Ex(S¹) and Ex(BZ/3); sd(Δ²) only into the corpus."""
+    small = [standard_simplex(2, 2), horn(2, 1), s1_model(), loops_e_f()]
+    corpus_targets = [
+        s1_model(), loops_e_f(), horn(2, 1), boundary(2), standard_simplex(2, 2),
+        nerve(corpus.walking_arrow(), 2), BZ2,
+    ]
+    ex_targets = [ex(s1_model()).complex, ex(nerve(corpus.cyclic_group_category(3), 2)).complex]
+    sources = [sd_simplex(n, 2) for n in range(3)] + small
+    return [enumerate_maps(x, y) for y in corpus_targets for x in sources] + [
+        enumerate_maps(x, y) for y in ex_targets for x in sources[:2] + small
+    ]
+
+
+def keys_order_like_signatures(cases, key) -> bool:
+    """Whether ``key(m.images(), texts)`` sorts each case's maps exactly as
+    their signatures do, and gives two maps equal keys only when their
+    signatures are equal."""
+    for found in cases:
+        texts: dict = {}
+        keys = [key(m.images(), texts) for m in found]
+        sigs = [m.signature() for m in found]
+        span = range(len(found))
+        if sorted(span, key=keys.__getitem__) != sorted(span, key=sigs.__getitem__):
+            return False
+        signature_of: dict = {}
+        if any(signature_of.setdefault(k, s) != s for k, s in zip(keys, sigs)):
+            return False
+    return True
+
+
+def by_pairs(images, texts):
+    return tuple((ref.base, ref.word) for ref in images)
+
+
+def without_last_cell(images, texts):
+    return image_texts(images, texts)[:-1]
+
+
+def test_image_texts_order_and_compare_like_signatures():
+    cases = image_text_cases()
+    assert sum(map(len, cases)) == 1728
+    for found in cases:  # enumerate_maps returns them in signature order
+        assert [m.signature() for m in found] == sorted(m.signature() for m in found)
+    assert keys_order_like_signatures(cases, image_texts)
+    # the controls: a key on (base, word) pairs orders the loops of
+    # loops_e_f below "s0 a"; one without the last cell merges maps
+    assert not keys_order_like_signatures(cases, by_pairs)
+    assert not keys_order_like_signatures(cases, without_last_cell)
+
+
+def test_ex_names_change_under_a_mutated_key(monkeypatch):
+    for module in (simplicial, subdivision):
+        monkeypatch.setattr(module, "image_texts", by_pairs)
+    assert unit_on_loops_e_f() != UNIT_ON_LOOPS_E_F
+    for module in (simplicial, subdivision):
+        monkeypatch.setattr(module, "image_texts", without_last_cell)
+    with pytest.raises(SchemaError):  # merged maps break d_j s_j = id
+        unit_on_loops_e_f()
 
 
 def test_adjunction_cardinality_on_corpus():
