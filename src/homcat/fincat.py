@@ -368,6 +368,44 @@ def quotient(elements, pairs) -> dict:
     return {x: find(x) for x in elements}
 
 
+def backtrack(keys: list, domain, consistent, meter: Budget, what: str) -> list[dict]:
+    """Every assignment ``{key: value}`` of ``keys`` whose values come from
+    ``domain(key, assigned)`` and pass ``consistent(key, assigned)``, where
+    ``assigned`` holds the keys up to ``key``, in the lexicographic order of
+    the product of the domains.  An explicit stack of value iterators, and
+    one ``meter`` charge per value tried."""
+    if not keys:
+        return [{}]
+    found, assigned = [], {}
+    stack = [iter(domain(keys[0], assigned))]
+    while stack:
+        key = keys[len(stack) - 1]
+        for value in stack[-1]:
+            meter.charge(1, what)
+            assigned[key] = value
+            if consistent(key, assigned):
+                break
+        else:
+            stack.pop()
+            assigned.pop(key, None)
+            continue
+        if len(stack) == len(keys):
+            found.append(dict(assigned))
+        else:
+            stack.append(iter(domain(keys[len(stack)], assigned)))
+    return found
+
+
+def at_last_key(keys: list, constraints, touched) -> dict:
+    """The ``constraints``, each filed under the last of its ``touched``
+    keys: the key at which :func:`backtrack` can first test it."""
+    rank = {key: i for i, key in enumerate(keys)}
+    at = {key: [] for key in keys}
+    for constraint in constraints:
+        at[max(touched(constraint), key=rank.__getitem__)].append(constraint)
+    return at
+
+
 def partition(elements, pairs) -> list[list]:
     """Classes of :func:`quotient`, each in element order, listed in the
     order of their first members."""
@@ -472,63 +510,57 @@ class NatTransformation:
 
 
 def enumerate_nat_trans(f: FinFunctor, g: FinFunctor) -> list[NatTransformation]:
-    """All natural transformations f ⇒ g, by exhaustive component search."""
+    """All natural transformations f ⇒ g, by :func:`backtrack` over components."""
     if f.source is not g.source and f.source.objects != g.source.objects:
         raise EndpointMismatch("functors do not share a source")
     if f.target is not g.target and f.target.objects != g.target.objects:
         raise EndpointMismatch("functors do not share a target")
-    d = f.target
-    per_object = [
-        [(x, c) for c in d.hom(f.object_map[x], g.object_map[x])]
-        for x in f.source.objects
-    ]
-    found = []
-    for combo in itertools.product(*per_object):
-        comp = dict(combo)
-        ok = True
-        for m in f.source.morphisms:
-            if d.compose(comp[m.dst], f.morphism_map[m.name]) != d.compose(
-                g.morphism_map[m.name], comp[m.src]
-            ):
-                ok = False
-                break
-        if ok:
-            found.append(NatTransformation(f, g, comp))
-    return found
+    d, objects = f.target, f.source.objects
+    checks = at_last_key(objects, f.source.morphisms, lambda m: (m.src, m.dst))
+
+    def natural(x, comp):
+        return all(
+            d.compose(comp[m.dst], f.morphism_map[m.name])
+            == d.compose(g.morphism_map[m.name], comp[m.src])
+            for m in checks[x]
+        )
+
+    found = backtrack(
+        objects,
+        lambda x, comp: d.hom(f.object_map[x], g.object_map[x]),
+        natural,
+        Budget(DEFAULT_FUNCTOR_BUDGET),
+        "natural transformation enumeration",
+    )
+    return [NatTransformation(f, g, comp) for comp in found]
 
 
 def enumerate_functors(
     c: FinCategory, d: FinCategory, budget: int = DEFAULT_FUNCTOR_BUDGET
 ) -> list[FinFunctor]:
-    """All functors c → d; the search is capped at ``budget`` candidates."""
-    meter = Budget(budget)
-    nonid = [m for m in c.morphisms if not c.is_identity(m.name)]
-    found = []
-    for omap_vals in itertools.product(d.objects, repeat=len(c.objects)):
-        omap = dict(zip(c.objects, omap_vals))
-        choices = []
-        for m in nonid:
-            opts = d.hom(omap[m.src], omap[m.dst])
-            if not opts:
-                choices = None
-                break
-            choices.append(opts)
-        if choices is None:
-            meter.charge(1, "functor enumeration")
-            continue
-        for combo in itertools.product(*choices):
-            meter.charge(1, "functor enumeration")
-            mmap = dict(zip((m.name for m in nonid), combo))
-            for x in c.objects:
-                mmap[c.identity[x]] = d.identity[omap[x]]
-            ok = True
-            for g, f in c.composable_pairs():
-                if d.compose(mmap[g], mmap[f]) != mmap[c.compose(g, f)]:
-                    ok = False
-                    break
-            if ok:
-                found.append(FinFunctor(c, d, omap, mmap))
-    return found
+    """All functors c → d, by :func:`backtrack` over the object images, then
+    the images of the :class:`Mor` values (never equal to an object's name);
+    ``budget`` caps the values tried."""
+    keys = [*c.objects, *c.morphisms]
+    pairs = c.composable_pairs()
+    trios = [(c.mor(g), c.mor(f), c.mor(c.compose(g, f))) for g, f in pairs]
+    checks = at_last_key(keys, trios, lambda trio: trio)
+
+    def domain(key, image):
+        if isinstance(key, str):
+            return d.objects
+        if c.identity[key.src] == key.name:
+            return (d.identity[image[key.src]],)
+        return d.hom(image[key.src], image[key.dst])
+
+    def functorial(key, image):
+        return all(d.compose(image[g], image[f]) == image[h] for g, f, h in checks[key])
+
+    found = backtrack(keys, domain, functorial, Budget(budget), "functor enumeration")
+    return [
+        FinFunctor(c, d, {x: a[x] for x in c.objects}, {m.name: a[m] for m in c.morphisms})
+        for a in found
+    ]
 
 
 def functor_from_json(raw: dict) -> FinFunctor:

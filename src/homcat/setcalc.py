@@ -20,7 +20,8 @@ from .errors import (
     NotUniversal,
     SchemaError,
 )
-from .fincat import FinCategory, FinFunctor, Mor, join_families, join_names, opposite
+from .fincat import FinCategory, FinFunctor, Mor, at_last_key, backtrack, hom_functor
+from .fincat import join_families, join_names, opposite
 from .fincat import quotient as _quotient  # perfbench/tracing.py wraps this name
 
 
@@ -435,33 +436,30 @@ def diagram_nat_trans(
     f: Diagram, g: Diagram, budget: int = DEFAULT_FUNCTOR_BUDGET
 ) -> list[dict[str, FinFunction]]:
     """All natural transformations between two set-valued diagrams that
-    share a shape, as dicts object → component function."""
+    share a shape, as dicts object → component function.  :func:`backtrack`
+    chooses each ξ_y(e) in (object, element) order and checks each square
+    ξ_z(F(m)e) = G(m)(ξ_y(e)) once both sides are chosen; ``budget`` caps
+    the values tried."""
     if f.shape.objects != g.shape.objects:
         raise EndpointMismatch("diagrams do not share a shape")
-    meter = Budget(budget)
-    per_object = []
-    for x in f.shape.objects:
-        dom, cod = f.values[x], g.values[x]
-        fns = []
-        for images in itertools.product(cod.elements, repeat=len(dom.elements)):
-            fns.append(
-                FinFunction(dom, cod, dict(zip(dom.elements, images)))
-            )
-        per_object.append((x, fns))
-    found = []
-    for combo in itertools.product(*(fns for _, fns in per_object)):
-        meter.charge(1, "natural transformation enumeration")
-        comp = {x: fn for (x, _), fn in zip(per_object, combo)}
-        ok = True
-        for m in f.shape.morphisms:
-            lhs = f.arrows[m.name].then(comp[m.dst])
-            rhs = comp[m.src].then(g.arrows[m.name])
-            if lhs.mapping != rhs.mapping:
-                ok = False
-                break
-        if ok:
-            found.append(comp)
-    return found
+    keys = [(x, e) for x in f.shape.objects for e in f.values[x].elements]
+    squares = [
+        ((m.src, e), g.arrows[m.name].mapping, (m.dst, f.arrows[m.name](e)))
+        for m in f.shape.morphisms
+        for e in f.values[m.src].elements
+    ]
+    checks = at_last_key(keys, squares, lambda square: (square[0], square[2]))
+
+    def natural(key, xi):
+        return all(gm[xi[y]] == xi[z] for y, gm, z in checks[key])
+
+    def component(xi, x):
+        dom = f.values[x]
+        return FinFunction(dom, g.values[x], {e: xi[x, e] for e in dom.elements})
+
+    meter, what = Budget(budget), "natural transformation enumeration"
+    found = backtrack(keys, lambda k, _: g.values[k[0]].elements, natural, meter, what)
+    return [{x: component(xi, x) for x in f.shape.objects} for xi in found]
 
 
 def transformation_key(components: dict[str, FinFunction]) -> tuple:
@@ -548,7 +546,8 @@ def lan(f: Diagram, i: FinFunctor) -> tuple[Diagram, dict[str, FinFunction]]:
 
 def ran(f: Diagram, i: FinFunctor) -> Diagram:
     """Right Kan extension, pointwise as the end of powers
-    ∏_Y F(Y)^{Mor(X; i(Y))} cut down to the compatible families."""
+    ∏_Y F(Y)^{Mor(X; i(Y))} cut down to the compatible families, which
+    are the natural transformations Mor(X; i-) ⇒ F."""
     a_cat, c_cat = i.source, i.target
     if f.shape.objects != a_cat.objects:
         raise EndpointMismatch("diagram shape must be the functor's source")
@@ -560,32 +559,9 @@ def ran(f: Diagram, i: FinFunctor) -> Diagram:
     names: dict[str, dict[tuple, str]] = {}
     values: dict[str, FinSetRep] = {}
     for x in c_cat.objects:
-        choices = []
-        for y in a_cat.objects:
-            homset = c_cat.hom(x, i.on_obj(y))
-            fy = f.values[y].elements
-            funcs = [
-                dict(zip(homset, images))
-                for images in itertools.product(fy, repeat=len(homset))
-            ]
-            choices.append(funcs)
-        families = []
-        for combo in itertools.product(*choices):
-            fam = dict(zip(a_cat.objects, combo))
-            ok = True
-            for a in a_cat.morphisms:  # a: Y -> Z; need F(a)∘φ_Y = φ_Z∘(i(a)∘-)
-                for m in c_cat.hom(x, i.on_obj(a.src)):
-                    lhs = f.arrows[a.name](fam[a.src][m])
-                    rhs = fam[a.dst][c_cat.compose(i.on_mor(a.name), m)]
-                    if lhs != rhs:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                families.append(fam)
-        pointwise[x] = families
-        names[x] = join_families([family_key(fam) for fam in families], "{", "}")
+        families = diagram_nat_trans(restrict_diagram(hom_functor(c_cat, x), i), f)
+        pointwise[x] = [{y: fam[y].mapping for y in fam} for fam in families]
+        names[x] = join_families([family_key(fam) for fam in pointwise[x]], "{", "}")
         values[x] = FinSetRep(f"Ran({x})", tuple(names[x].values()))
 
     arrows = {}
@@ -613,8 +589,6 @@ def _singleton_diagram(shape: FinCategory, size: int, label: str) -> Diagram:
 
 def kan_test_functors(c: FinCategory, l: Diagram, f: Diagram, i: FinFunctor):
     """Deterministic family of test functors used by the universality check."""
-    from .fincat import hom_functor
-
     family = [("constant-1", _singleton_diagram(c, 1, "t")),
               ("constant-2", _singleton_diagram(c, 2, "u"))]
     for x in c.objects:

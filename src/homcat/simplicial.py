@@ -31,7 +31,7 @@ from .errors import (
     NotMonotone,
     SchemaError,
 )
-from .fincat import FinCategory, join_names
+from .fincat import FinCategory, backtrack, join_names
 
 
 # -- the category of finite ordinals --------------------------------------
@@ -521,8 +521,8 @@ def image_texts(images, texts: dict[CellRef, str]) -> tuple[str, ...]:
 def enumerate_maps(
     x: SimplicialSet, y: SimplicialSet, budget: int = DEFAULT_HORN_BUDGET
 ) -> list[SimplicialMap]:
-    """All simplicial maps x → y, by depth-first search over the
-    nondegenerate cells of x in a face-adjacent order.
+    """All simplicial maps x → y, by :func:`~homcat.fincat.backtrack` over
+    the nondegenerate cells of x in a face-adjacent order.
 
     A map is determined by nondegenerate-cell images; the constraint for a
     cell only mentions lower-dimensional choices, so cells are assigned in
@@ -547,28 +547,19 @@ def enumerate_maps(
         for name in x.cells[n]:
             place(n, name)
 
-    meter = Budget(budget)
-    found: list[SimplicialMap] = []
-    assignment: dict[tuple[int, str], CellRef] = {}
-
-    def extend(pos: int):
-        if pos == len(order):
-            found.append(SimplicialMap(x, y, dict(assignment)))
-            return
-        n, name = order[pos]
+    def domain(key, assignment):
+        n, name = key
         wanted = {}
-        for i, ref in enumerate(x.faces.get((n, name), ())):
+        for i, ref in enumerate(x.faces.get(key, ())):
             image = assignment[(x.base_dim(ref), ref.base)]
             wanted[i] = CellRef(
                 image.base, normalize_word(list(ref.word) + list(image.word))
             )
-        for candidate in y.cells_with_faces(n, wanted):
-            meter.charge(1, "simplicial map enumeration")
-            assignment[(n, name)] = candidate
-            extend(pos + 1)
-            del assignment[(n, name)]
+        return y.cells_with_faces(n, wanted)
 
-    extend(0)
+    what = "simplicial map enumeration"
+    found = backtrack(order, domain, lambda *_: True, Budget(budget), what)
+    found = [SimplicialMap(x, y, assignment) for assignment in found]
     texts: dict[CellRef, str] = {}
     found.sort(key=lambda m: image_texts(m.images(), texts))
     return found

@@ -4,10 +4,17 @@ test-suite exercises over and over."""
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import pathlib
 import random
 
-from homcat.fincat import FinCategory, FinFunctor, validate_category
+from homcat.fincat import (
+    FinCategory,
+    FinFunctor,
+    NatTransformation,
+    join_families,
+    validate_category,
+)
 from homcat.setcalc import Diagram, FinFunction, FinSetRep, identity_function
 from homcat.simplicial import SimplicialSet, simplicial_from_json
 
@@ -271,3 +278,130 @@ def seeded_surfaces(seed: int) -> list[SimplicialSet]:
         simplicial_from_json(payload)
         for _, payload, _, _ in inputs.surfaces(random.Random(seed))
     ]
+
+
+# -- brute-force references ----------------------------------------------
+#
+# The searches as they were before they shared one backtracking core: each
+# tests every tuple of the full product, in its lexicographic order.  The
+# engine must return the same lists, in the same order.
+
+
+def diagram_nat_trans_by_product(f: Diagram, g: Diagram) -> list[dict]:
+    per_object = []
+    for x in f.shape.objects:
+        dom, cod = f.values[x], g.values[x]
+        fns = []
+        for images in itertools.product(cod.elements, repeat=len(dom.elements)):
+            fns.append(FinFunction(dom, cod, dict(zip(dom.elements, images))))
+        per_object.append((x, fns))
+    found = []
+    for combo in itertools.product(*(fns for _, fns in per_object)):
+        comp = {x: fn for (x, _), fn in zip(per_object, combo)}
+        ok = True
+        for m in f.shape.morphisms:
+            lhs = f.arrows[m.name].then(comp[m.dst])
+            rhs = comp[m.src].then(g.arrows[m.name])
+            if lhs.mapping != rhs.mapping:
+                ok = False
+                break
+        if ok:
+            found.append(comp)
+    return found
+
+
+def enumerate_nat_trans_by_product(f: FinFunctor, g: FinFunctor) -> list:
+    d = f.target
+    per_object = [
+        [(x, c) for c in d.hom(f.object_map[x], g.object_map[x])]
+        for x in f.source.objects
+    ]
+    found = []
+    for combo in itertools.product(*per_object):
+        comp = dict(combo)
+        ok = True
+        for m in f.source.morphisms:
+            if d.compose(comp[m.dst], f.morphism_map[m.name]) != d.compose(
+                g.morphism_map[m.name], comp[m.src]
+            ):
+                ok = False
+                break
+        if ok:
+            found.append(NatTransformation(f, g, comp))
+    return found
+
+
+def enumerate_functors_by_product(c: FinCategory, d: FinCategory) -> list:
+    nonid = [m for m in c.morphisms if not c.is_identity(m.name)]
+    found = []
+    for omap_vals in itertools.product(d.objects, repeat=len(c.objects)):
+        omap = dict(zip(c.objects, omap_vals))
+        choices = [d.hom(omap[m.src], omap[m.dst]) for m in nonid]
+        for combo in itertools.product(*choices):
+            mmap = dict(zip((m.name for m in nonid), combo))
+            for x in c.objects:
+                mmap[c.identity[x]] = d.identity[omap[x]]
+            ok = True
+            for g, f in c.composable_pairs():
+                if d.compose(mmap[g], mmap[f]) != mmap[c.compose(g, f)]:
+                    ok = False
+                    break
+            if ok:
+                found.append(FinFunctor(c, d, omap, mmap))
+    return found
+
+
+def ran_by_product(f: Diagram, i: FinFunctor) -> Diagram:
+    a_cat, c_cat = i.source, i.target
+
+    def family_key(fam: dict[str, dict[str, str]]) -> tuple:
+        return tuple((y, tuple(sorted(fam[y].items()))) for y in a_cat.objects)
+
+    pointwise: dict[str, list[dict]] = {}
+    names: dict[str, dict[tuple, str]] = {}
+    values: dict[str, FinSetRep] = {}
+    for x in c_cat.objects:
+        choices = []
+        for y in a_cat.objects:
+            homset = c_cat.hom(x, i.on_obj(y))
+            fy = f.values[y].elements
+            funcs = [
+                dict(zip(homset, images))
+                for images in itertools.product(fy, repeat=len(homset))
+            ]
+            choices.append(funcs)
+        families = []
+        for combo in itertools.product(*choices):
+            fam = dict(zip(a_cat.objects, combo))
+            ok = True
+            for a in a_cat.morphisms:  # a: Y -> Z; need F(a)∘φ_Y = φ_Z∘(i(a)∘-)
+                for m in c_cat.hom(x, i.on_obj(a.src)):
+                    lhs = f.arrows[a.name](fam[a.src][m])
+                    rhs = fam[a.dst][c_cat.compose(i.on_mor(a.name), m)]
+                    if lhs != rhs:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                families.append(fam)
+        pointwise[x] = families
+        names[x] = join_families([family_key(fam) for fam in families], "{", "}")
+        values[x] = FinSetRep(f"Ran({x})", tuple(names[x].values()))
+
+    arrows = {}
+    for g in c_cat.morphisms:  # g: X -> X'
+        mapping = {}
+        for fam in pointwise[g.src]:
+            moved = {
+                y: {
+                    m: fam[y][c_cat.compose(m, g.name)]
+                    for m in c_cat.hom(g.dst, i.on_obj(y))
+                }
+                for y in a_cat.objects
+            }
+            mapping[names[g.src][family_key(fam)]] = names[g.dst][family_key(moved)]
+        arrows[g.name] = FinFunction(values[g.src], values[g.dst], mapping)
+    result = Diagram(c_cat, values, arrows)
+    result.validate()
+    return result

@@ -517,6 +517,16 @@ def test_horns_verb(tmp_path, capsys):
     assert payload["assignments"]
 
 
+def test_horns_on_a_point_of_dimension_nine(tmp_path, capsys):
+    # the one map Λ⁹₁ → Δ⁰ assigns 1,021 cells, one search level each
+    path = write(tmp_path, "pt.json", {"v": 1, "dim": 9, "cells": {"0": ["p"]}})
+    code, out = run(capsys, "horns", path, "-n", "9", "-k", "1")
+    assert code == 0
+    (row,) = json.loads(out)["assignments"]
+    assert len(row["assignment"]) == 1021
+    assert len(row["fillers"]) == 1
+
+
 def test_pi0_pi1(tmp_path, capsys):
     path = write(tmp_path, "s1.json", s1_model().to_json_dict())
     code, out = run(capsys, "pi0", path)

@@ -421,6 +421,41 @@ def test_enumerate_functors_budget():
         enumerate_functors(z3, z3, budget=2)
 
 
+def test_functor_searches_match_the_product_references():
+    cats = [
+        corpus.terminal_category(),
+        corpus.walking_arrow(),
+        corpus.walking_iso(),
+        corpus.discrete(2),
+        corpus.poset_chain(2),
+        corpus.parallel_pair(),
+        corpus.cyclic_group_category(2),
+        corpus.cyclic_group_category(3),
+        corpus.idempotent_monoid_category(),
+        corpus.chaotic_groupoid(["a", "b", "c"]),
+    ]
+    functors = transformations = 0
+    for c in cats:
+        for d in cats:
+            got = enumerate_functors(c, d)
+            want = corpus.enumerate_functors_by_product(c, d)
+            assert [
+                (list(f.object_map.items()), list(f.morphism_map.items())) for f in got
+            ] == [
+                (list(f.object_map.items()), list(f.morphism_map.items())) for f in want
+            ]
+            functors += len(got)
+            for f in got:
+                for g in got:
+                    nats = enumerate_nat_trans(f, g)
+                    assert [list(nt.components.items()) for nt in nats] == [
+                        list(nt.components.items())
+                        for nt in corpus.enumerate_nat_trans_by_product(f, g)
+                    ]
+                    transformations += len(nats)
+    assert (functors, transformations) == (361, 3217)
+
+
 def test_nat_trans_agrees_with_end_computation():
     # the set of natural transformations is the end of Mor(F-, G-)
     z2 = corpus.cyclic_group_category(2)

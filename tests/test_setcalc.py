@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import pytest
@@ -18,6 +19,8 @@ from homcat.setcalc import (
     coend,
     colimit,
     constant_diagram,
+    diagram_nat_trans,
+    diagram_to_json,
     end,
     end_cone,
     equalizer,
@@ -971,3 +974,69 @@ def test_kan_universal_tells_transformations_apart_by_components():
         d = corpus.diagram_from_tables(t, {"*": elements}, {})
         units.append(check_kan_universal(d, d, identity_functor(t))["unit"])
     assert units == ["*[b,b>b>b,b>b,b>b]", "*[p>p,q>q]"]
+
+
+# -- the searches against their brute-force references -------------------
+
+
+def components(transformations) -> list:
+    """Natural transformations as plain lists, so that comparing two lists
+    of them compares their order too."""
+    return [
+        [(x, list(fn.mapping.items())) for x, fn in nt.items()]
+        for nt in transformations
+    ]
+
+
+def test_diagram_nat_trans_matches_the_product_reference():
+    # every second F is representable, so many pairs have transformations
+    rng = random.Random(2718)
+    found = 0
+    for k in range(300):
+        shape = corpus.random_shape(rng)
+        g = corpus.random_diagram(rng, shape, max_set=3)
+        if k % 2 and shape.objects:
+            f = fincat.hom_functor(shape, rng.choice(shape.objects))
+        else:
+            f = corpus.random_diagram(rng, shape, max_set=3)
+        want = corpus.diagram_nat_trans_by_product(f, g)
+        assert components(diagram_nat_trans(f, g)) == components(want)
+        found += len(want)
+    assert found > 1000
+
+
+def test_ran_matches_the_product_reference():
+    rng = random.Random(1618)
+    targets = [
+        corpus.walking_iso(),
+        corpus.cyclic_group_category(2),
+        corpus.cyclic_group_category(3),
+        corpus.idempotent_monoid_category(),
+        corpus.chaotic_groupoid(["a", "b"]),
+        corpus.poset_chain(2),
+        corpus.parallel_pair(),
+    ]
+    checked = elements = 0
+    while checked < 150:
+        a = corpus.random_shape(rng, max_objects=2, max_nonid_mors=3)
+        c = rng.choice(targets + [corpus.random_shape(rng)])
+        functors = fincat.enumerate_functors(a, c)
+        if not functors:
+            continue
+        i = rng.choice(functors)
+        f = corpus.random_diagram(rng, a, max_set=3)
+        got = diagram_to_json(ran(f, i))
+        assert json.dumps(got) == json.dumps(diagram_to_json(corpus.ran_by_product(f, i)))
+        elements += sum(len(v) for v in got["sets"].values())
+        checked += 1
+    assert elements > 300
+
+
+@pytest.mark.parametrize("n, budget", [(6, 1000), (8, 10**7)])
+def test_nat_trans_of_a_cyclic_group_on_itself_tries_few_values(n, budget):
+    # the product of the components has n**n candidates: 46,656 for Z/6,
+    # and 8**8 component functions for Z/8 before the first charge
+    h = fincat.hom_functor(corpus.cyclic_group_category(n), "*")
+    nats = diagram_nat_trans(h, h, budget=budget)
+    assert len(nats) == n
+    assert len({tuple(nt["*"].mapping.values()) for nt in nats}) == n

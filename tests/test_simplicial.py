@@ -463,6 +463,15 @@ def test_maps_from_point_are_vertices():
     assert len(maps) == 3
 
 
+def test_enumerate_maps_from_a_horn_of_a_thousand_cells():
+    # Λ⁹₁ has 1,021 nondegenerate cells, one search level each: deeper
+    # than Python's recursion limit
+    x = horn(9, 1, max_dim=9)
+    maps = enumerate_maps(x, standard_simplex(0, max_dim=9))
+    assert len(maps) == 1
+    assert len(maps[0].cell_map) == sum(len(x.cells[n]) for n in x.cells) == 1021
+
+
 def test_enumerate_maps_rejects_a_negative_budget():
     with pytest.raises(SchemaError) as exc:
         enumerate_maps(standard_simplex(0, 0), boundary(2), budget=-1)
