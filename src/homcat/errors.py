@@ -114,7 +114,9 @@ class DimensionTooLow(EngineError):
 
 class Budget:
     """Mutable countdown shared across a search; raises when exhausted.
-    A negative limit is bad input, not an exhausted search."""
+    Every search charges it once per value tried for a key, and an
+    exhausted one says how much was spent and on what.  A negative limit
+    is bad input, not an exhausted search."""
 
     def __init__(self, limit: int):
         self.limit = int(limit)
@@ -128,8 +130,10 @@ class Budget:
         self.spent += amount
         if self.spent > self.limit:
             raise BudgetExceeded(
-                f"{what}: budget of {self.limit} candidates exhausted",
+                f"{what}: budget of {self.limit} values exhausted",
                 limit=self.limit,
+                spent=self.spent,
+                what=what,
             )
 
 

@@ -442,7 +442,36 @@ def _relator_facts(word: tuple[int, ...]) -> tuple:
     """``(reduced, letters, lone, key)`` of a relator: its cyclic reduction,
     the generators it uses (in order of first use), the first of them
     that occurs once (or None), and its dedup key, the least rotation of
-    the reduction or its inverse (``()`` for the empty word)."""
+    the reduction or its inverse (``()`` for the empty word).
+
+    A word whose letters use distinct generators is already cyclically
+    reduced, its first generator is lone, and its key is the one rotation
+    of the word or of its inverse that starts at -m, the least letter of
+    both, for m its largest generator.  Every relator of :func:`pi1` on a
+    simplicial complex has this form (a tree edge, or a triangle on three
+    edges), and so do most of its rewrites: lengths 1 to 3 take that path,
+    unrolled."""
+    n = len(word)
+    if n == 1:
+        g = abs(word[0])
+        return word, (g,), g, (-g,)
+    if n == 2:
+        x, y = word
+        gx, gy = abs(x), abs(y)
+        if gx != gy:
+            least = -max(gx, gy)  # in the word, or else in its inverse (-y, -x)
+            key = (word if x == least else (y, x) if y == least
+                   else (-x, -y) if x == -least else (-y, -x))
+            return word, (gx, gy), gx, key
+    elif n == 3:
+        x, y, z = word
+        gx, gy, gz = abs(x), abs(y), abs(z)
+        if gx != gy != gz != gx:
+            least = -max(gx, gy, gz)  # in the word, or else in its inverse (-z, -y, -x)
+            key = (word if x == least else (y, z, x) if y == least
+                   else (z, x, y) if z == least else (-x, -z, -y) if x == -least
+                   else (-y, -x, -z) if y == -least else (-z, -y, -x))
+            return word, (gx, gy, gz), gx, key
     reduced = cyclic_reduce(word)
     if not reduced:
         return reduced, (), None, ()

@@ -448,18 +448,26 @@ def diagram_nat_trans(
         for m in f.shape.morphisms
         for e in f.values[m.src].elements
     ]
-    checks = at_last_key(keys, squares, lambda square: (square[0], square[2]))
-
-    def natural(key, xi):
-        return all(gm[xi[y]] == xi[z] for y, gm, z in checks[key])
 
     def component(xi, x):
         dom = f.values[x]
         return FinFunction(dom, g.values[x], {e: xi[x, e] for e in dom.elements})
 
-    meter, what = Budget(budget), "natural transformation enumeration"
-    found = backtrack(keys, lambda k, _: g.values[k[0]].elements, natural, meter, what)
+    found = _transformations(keys, squares, g.values, budget)
     return [{x: component(xi, x) for x in f.shape.objects} for xi in found]
+
+
+def _transformations(keys: list, squares: list, values: dict, budget: int) -> list[dict]:
+    """The search behind :func:`diagram_nat_trans`: every ξ sending each key
+    ``(y, e)`` into ``values[y]`` with ``gm[ξ[y']] == ξ[z']`` on every
+    square ``(y', gm, z')``, checked once both sides are chosen."""
+    checks = at_last_key(keys, squares, lambda square: (square[0], square[2]))
+
+    def natural(key, xi):
+        return all(gm[xi[y]] == xi[z] for y, gm, z in checks[key])
+
+    meter, what = Budget(budget), "natural transformation enumeration"
+    return backtrack(keys, lambda k, _: values[k[0]].elements, natural, meter, what)
 
 
 def transformation_key(components: dict[str, FinFunction]) -> tuple:
@@ -559,8 +567,16 @@ def ran(f: Diagram, i: FinFunctor) -> Diagram:
     names: dict[str, dict[tuple, str]] = {}
     values: dict[str, FinSetRep] = {}
     for x in c_cat.objects:
-        families = diagram_nat_trans(restrict_diagram(hom_functor(c_cat, x), i), f)
-        pointwise[x] = [{y: fam[y].mapping for y in fam} for fam in families]
+        # the natural transformations Mor(x; i-) ⇒ F, keyed by (Y, m: x → i(Y))
+        hom = {y: c_cat.hom(x, i.on_obj(y)) for y in a_cat.objects}
+        keys = [(y, m) for y in a_cat.objects for m in hom[y]]
+        squares = [
+            ((a.src, m), f.arrows[a.name].mapping, (a.dst, c_cat.compose(i.on_mor(a.name), m)))
+            for a in a_cat.morphisms
+            for m in hom[a.src]
+        ]
+        found = _transformations(keys, squares, f.values, DEFAULT_FUNCTOR_BUDGET)
+        pointwise[x] = [{y: {m: xi[y, m] for m in hom[y]} for y in a_cat.objects} for xi in found]
         names[x] = join_families([family_key(fam) for fam in pointwise[x]], "{", "}")
         values[x] = FinSetRep(f"Ran({x})", tuple(names[x].values()))
 

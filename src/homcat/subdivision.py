@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache, wraps
+from functools import cached_property, lru_cache, wraps
+from operator import itemgetter
 from types import MappingProxyType
 
 from .errors import BudgetExceeded, DEFAULT_HORN_BUDGET, SchemaError
@@ -296,16 +297,11 @@ Chain = tuple[tuple[int, ...], ...]  # nonempty subsets of [a], increasing
 
 
 @lru_cache(maxsize=None)
-def _top_chains(
-    a: int, max_dim: int
-) -> tuple[tuple[Chain, str, tuple[Chain, ...]], ...]:
-    """The strict chains S₀ ⊊ … ⊊ Sₘ = [a] with m ≤ max_dim, each beside
-    its name as a cell of sd(Δᵃ) and its faces, the chains without Sᵢ."""
-    return tuple(
-        (chain, name, tuple(chain[:i] + chain[i + 1:] for i in range(len(chain))))
-        for (_, name), chain in _subset_chains(a, max_dim)
-        if len(chain[-1]) == a + 1
-    )
+def _top_chains(a: int, max_dim: int) -> dict[Chain, int]:
+    """The strict chains S₀ ⊊ … ⊊ Sₘ = [a] with m ≤ max_dim, in the cell
+    order of sd(Δᵃ), each beside its chain id, its position there."""
+    chains = [chain for _, chain in _subset_chains(a, max_dim) if len(chain[-1]) == a + 1]
+    return {chain: k for k, chain in enumerate(chains)}
 
 
 @lru_cache(maxsize=None)
@@ -324,6 +320,33 @@ def _chain_template(a: int, chain: Chain) -> tuple:
     return top, missing, relabelled, tuple(dict.fromkeys(relabelled)), word
 
 
+@lru_cache(maxsize=None)
+def _top_plan(a: int, max_dim: int) -> tuple[dict, tuple]:
+    """How :func:`sd` glues the top chains of :func:`_top_chains`:
+    ``(tops, steps)``.  ``tops`` numbers the proper subsets T of [a] that
+    some d_m reaches (all of them once max_dim ≥ 1) by the vertices of [a]
+    outside T, largest first.  ``steps`` holds, by chain id,
+    ``(a, chain, m, name, pick, t, strict)``: the chain, its length m and
+    name in sd(Δᵃ), the ``itemgetter`` of the chain ids of its faces d_0,
+    …, d_{m-1} (one id when m = 1), and for d_m, which drops [a], the
+    number t of its top T and the chain id of its relabelled strict chain
+    among the top chains of sd(Δ^{|T|-1}), as in :func:`_chain_template`.
+    The 0-chain has no faces, and ``None`` in their places."""
+    ids, tops, steps = _top_chains(a, max_dim), {}, []
+    for (m, name), chain in _subset_chains(a, max_dim):
+        if chain not in ids:
+            continue
+        if not m:
+            steps.append((a, chain, m, name, None, None, None))
+            continue
+        top, missing, _, strict, _ = _chain_template(a, chain[:-1])
+        steps.append((a, chain, m, name,
+                      itemgetter(*[ids[chain[:i] + chain[i + 1:]] for i in range(m)]),
+                      tops.setdefault(missing, len(tops)),
+                      _top_chains(len(top) - 1, max_dim)[strict]))
+    return tops, tuple(steps)
+
+
 @dataclass
 class SdResult:
     """Subdivided complex plus the Eilenberg–Zilber normal forms of its cells.
@@ -331,17 +354,42 @@ class SdResult:
     ``origin[(m, name)]`` is ``(a, x, chain)``: the nondegenerate a-cell x
     of the source and the strict chain of subsets of [a], with top [a],
     whose pair is the cell; ``cell_ref`` is the inverse, keyed by
-    ``(x, chain)``, with one shared ``CellRef`` per new cell.  :func:`sd`
-    sets ``complex`` once the cells are named.
+    ``(x, chain)``, with one shared ``CellRef`` per new cell.  Both are
+    built on first read from the records :func:`sd` keeps: per level, each
+    cell's source cell and :func:`_top_plan` step, aligned with
+    ``complex.cells[m]``; per source cell, its new cells by chain id and
+    its restrictions to the subsets T of its vertices, by the number of T.
     """
 
     source: SimplicialSet
-    origin: dict[tuple[int, str], tuple[int, str, Chain]]
-    cell_ref: dict[tuple[str, Chain], CellRef]
     complex: SimplicialSet = field(init=False)
-    _restricted: dict[tuple[str, tuple[int, ...]], tuple] = field(
-        default_factory=dict, repr=False
-    )
+    _levels: dict[int, list[tuple]] = field(default_factory=dict, repr=False)
+    _refs: dict[str, list[CellRef]] = field(default_factory=dict, repr=False)
+    _rests: dict[str, list[tuple]] = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def origin(self) -> dict[tuple[int, str], tuple[int, str, Chain]]:
+        return {
+            (m, fresh): (step[0], name, step[1])
+            for m, entries in self._levels.items()
+            for fresh, (_, name, _, step) in zip(self.complex.cells[m], entries)
+        }
+
+    @cached_property
+    def cell_ref(self) -> dict[tuple[str, Chain], CellRef]:
+        return {
+            (name, step[1]): self._ref(name, k)
+            for entries in self._levels.values()
+            for _, name, k, step in entries
+        }
+
+    def _ref(self, name: str, k: int) -> CellRef:
+        """The new cell of chain id k on the source cell ``name``.  Top-level
+        cells are faces of none, so :func:`sd` keeps their names until read."""
+        ref = self._refs[name][k]
+        if ref.__class__ is str:
+            ref = self._refs[name][k] = CellRef(ref)
+        return ref
 
     def pair_ref(self, a: int, xref: CellRef, chain: Chain) -> CellRef:
         """The cell of sd(X) glued from an arbitrary a-cell of X and a weakly
@@ -360,16 +408,12 @@ class SdResult:
                 surj = word_surjection(word, a).values
                 chain = tuple(tuple(dict.fromkeys(surj[v] for v in s)) for s in chain)
             top, missing, relabelled, strict, repeats = _chain_template(a, chain)
-            key = (base, top)
-            restricted = self._restricted.get(key)
-            if restricted is None:
-                restricted = (base, ())
-                for i in missing:
-                    restricted = self.source.faces_of(*restricted)[i]
-                self._restricted[key] = restricted
-            base, word = restricted
+            if missing:
+                base, word = self._rests[base][_top_plan(a, self.source.max_dim)[0][missing]]
+            else:
+                word = ()
             if not word:
-                ref = self.cell_ref[(base, strict)]
+                ref = self._ref(base, _top_chains(len(top) - 1, self.source.max_dim)[strict])
                 return CellRef(ref.base, repeats) if repeats else ref
             a, chain = len(top) - 1, relabelled
 
@@ -380,37 +424,49 @@ def sd(x: SimplicialSet) -> SdResult:
     sd(X) is the colimit of sd(Δᵃ) over the cells of X.  By the
     Eilenberg–Zilber lemma each of its nondegenerate m-cells is exactly one
     pair (x, S₀ ⊊ … ⊊ Sₘ = [a]) of a nondegenerate a-cell of X and a strict
-    chain topped by [a].  The faces d_i, i < m, drop Sᵢ; d_m drops [a] and
-    is brought back to normal form by :meth:`SdResult.pair_ref`.  Each
+    chain topped by [a].  The faces d_i, i < m, drop Sᵢ; d_m drops [a].
+    Each is glued from the :func:`_top_plan` step of the chain: d_i, i < m,
+    and a nondegenerate restriction of x to the top of d_m's chain are
+    read off the new cells of a source cell by chain id, and a degenerate
+    one is brought to normal form by :meth:`SdResult.pair_ref`.  Each
     level is ordered by the string ``f"{a}${x}${chain}"`` and named
     ``b{m}_{k}``; the result is checked with ``SimplicialSet.validate``.
     """
     n_top = x.max_dim
+    result = SdResult(x)
+    refs, rests = result._refs, result._rests
     keyed: dict[int, list[tuple]] = {m: [] for m in range(n_top + 1)}
     for a in range(n_top + 1):
-        chains = _top_chains(a, n_top)
+        if not x.cells[a]:
+            continue  # a degree's plan is built when it first has cells
+        tops, steps = _top_plan(a, n_top)
         for name in x.cells[a]:
-            head, xref = f"{a}${name}$", CellRef(name)
-            for chain, chain_name, below in chains:
-                keyed[len(chain) - 1].append(
-                    (head + chain_name, a, name, chain, xref, below)
-                )
+            head = f"{a}${name}$"
+            refs[name] = [None] * len(steps)
+            rests[name] = rest = []
+            for missing in tops:
+                restricted = (name, ())
+                for i in missing:
+                    restricted = x.faces_of(*restricted)[i]
+                rest.append(restricted)
+            for k, step in enumerate(steps):
+                keyed[step[2]].append((head + step[3], name, k, step))
     cells: dict[int, list[str]] = {}
-    origin: dict[tuple[int, str], tuple[int, str, Chain]] = {}
-    cell_ref: dict[tuple[str, Chain], CellRef] = {}
-    result = SdResult(x, origin, cell_ref)
     faces = {}
     # a level's faces lie in the levels below it, named by then
     for m, entries in keyed.items():
         entries.sort()
         cells[m] = [f"b{m}_{k}" for k in range(len(entries))]
-        for fresh, (_, a, name, chain, xref, below) in zip(cells[m], entries):
-            origin[(m, fresh)] = (a, name, chain)
-            cell_ref[(name, chain)] = CellRef(fresh)
+        result._levels[m] = entries
+        for fresh, (_, name, k, step) in zip(cells[m], entries):
+            own = refs[name]
+            own[k] = fresh if m == n_top else CellRef(fresh)
             if m:
-                faces[(m, fresh)] = tuple(
-                    cell_ref[(name, face)] for face in below[:-1]
-                ) + (result.pair_ref(a, xref, below[-1]),)
+                a, chain, _, _, pick, t, strict = step
+                base, word = rests[name][t]
+                d_m = (refs[base][strict] if not word
+                       else result.pair_ref(a, CellRef(name), chain[:-1]))
+                faces[(m, fresh)] = pick(own) + (d_m,) if m > 1 else (pick(own), d_m)
     result.complex = SimplicialSet(n_top, cells, faces)
     result.complex.validate()
     return result

@@ -585,6 +585,20 @@ def test_map_search_verbs_reject_a_negative_budget(tmp_path, capsys):
         assert (report["error"], report["budget"]) == ("SchemaError", -5)
 
 
+def test_an_exhausted_search_budget_reports_its_spending(tmp_path, capsys):
+    path = write(tmp_path, "x.json", {
+        "v": 1, "dim": 2, "cells": {"0": ["v"], "1": ["a", "b"], "2": ["t"]},
+        "faces": {"a": ["v", "v"], "b": ["v", "v"], "t": ["a", "b", "a"]},
+    })
+    code, out = run(capsys, "horns", path, "-n", "2", "-k", "1", "--budget", "1")
+    assert code == 1
+    what = "simplicial map enumeration"
+    assert json.loads(out) == {
+        "error": "BudgetExceeded", "message": f"{what}: budget of 1 values exhausted",
+        "limit": 1, "spent": 2, "what": what,
+    }
+
+
 def test_svk_verb(tmp_path, capsys):
     phi = {
         "v": 1,

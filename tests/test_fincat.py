@@ -421,6 +421,14 @@ def test_enumerate_functors_budget():
         enumerate_functors(z3, z3, budget=2)
 
 
+def test_a_tripped_budget_says_what_it_spent_and_on_what():
+    z3 = corpus.cyclic_group_category(3)
+    with pytest.raises(BudgetExceeded, match="budget of 2 values exhausted") as caught:
+        enumerate_functors(z3, z3, budget=2)
+    # the third value tried trips a budget of two
+    assert caught.value.payload == {"limit": 2, "spent": 3, "what": "functor enumeration"}
+
+
 def test_functor_searches_match_the_product_references():
     cats = [
         corpus.terminal_category(),

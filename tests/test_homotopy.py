@@ -763,6 +763,46 @@ def test_relator_key_is_the_least_rotation_of_the_word_or_its_inverse():
         assert _relator_facts(word)[3] == _canonical_cyclic(cyclic_reduce(word)), word
 
 
+def relator_facts_by_definition(word: tuple[int, ...]) -> tuple:
+    """What ``_relator_facts`` means, spelled out: delete the leftmost
+    adjacent inverse pair until none is left, then strip inverse ends; list
+    the generators in order of first use; take the first that occurs
+    once; key by the least rotation of the reduction or its inverse."""
+    w = list(word)
+    while any(w[i] == -w[i + 1] for i in range(len(w) - 1)):
+        i = next(i for i in range(len(w) - 1) if w[i] == -w[i + 1])
+        del w[i:i + 2]
+    while len(w) >= 2 and w[0] == -w[-1]:
+        w = w[1:-1]
+    gens = [abs(letter) for letter in w]
+    letters = tuple(dict.fromkeys(gens))
+    lone = next((g for g in letters if gens.count(g) == 1), None)
+    inverse = [-letter for letter in reversed(w)]
+    rotations = [tuple(v[k:] + v[:k]) for v in (w, inverse) for k in range(len(v))]
+    return tuple(w), letters, lone, min(rotations, default=())
+
+
+def test_relator_facts_match_their_definition_on_random_words():
+    rng = random.Random(8128)
+    seen = {"distinct": 0, "repeated": 0, "adjacent": 0, "wrap": 0}
+    for _ in range(20000):
+        gens = rng.randint(1, 5)  # few generators, so repeats are common
+        word = [rng.choice([1, -1]) * rng.randint(1, gens) for _ in range(rng.randint(0, 6))]
+        if word and rng.random() < 0.3:  # an adjacent inverse pair
+            k = rng.randrange(len(word))
+            word.insert(k + 1, -word[k])
+        if word and rng.random() < 0.3:  # a cancellation across the wrap
+            word.append(-word[0])
+        word = tuple(word)
+        got = _relator_facts(word)
+        assert (got[0], tuple(got[1]), got[2], got[3]) == relator_facts_by_definition(word), word
+        distinct = len({abs(letter) for letter in word}) == len(word)
+        seen["distinct" if distinct else "repeated"] += 1
+        seen["adjacent"] += any(word[k] == -word[k + 1] for k in range(len(word) - 1))
+        seen["wrap"] += len(word) >= 2 and word[0] == -word[-1]
+    assert min(seen.values()) >= 3000, seen
+
+
 def test_tietze_keeps_torus_presentation():
     pres = GroupPresentation(["a", "b"], [(1, 2, -1, -2)])
     reduced = tietze_simplify(pres, budget=50)

@@ -1019,20 +1019,49 @@ def test_validate_agrees_with_the_face_loop_on_corrupted_complexes():
 
 
 def test_validate_rejects_a_wrong_sd_gluing(monkeypatch):
-    from homcat.subdivision import SdResult, sd
+    from homcat import subdivision
 
     torus = corpus.seeded_surfaces(1)[1]
-    sd(torus)
+    subdivision.sd(torus)
+    original = subdivision._top_plan
+
+    def wrong(a, max_dim):
+        # the right dimension, the wrong cell: each d_m names the next top
+        # chain of its length, cyclically, in place of the right one
+        tops, steps = original(a, max_dim)
+        wrong_steps = []
+        for step in steps:
+            *head, t, strict = step
+            if t is not None:
+                # the chain without [a], relabelled, lies in sd(Δ^{|T|-1})
+                b = len(head[1][-2]) - 1
+                chains = list(subdivision._top_chains(b, max_dim))
+                same = [k for k, c in enumerate(chains) if len(c) == len(chains[strict])]
+                strict = same[(same.index(strict) + 1) % len(same)]
+            wrong_steps.append((*head, t, strict))
+        return tops, tuple(wrong_steps)
+
+    monkeypatch.setattr(subdivision, "_top_plan", wrong)
+    with pytest.raises(InvalidStructure, match="simplicial identity fails"):
+        subdivision.sd(torus)
+
+
+def test_validate_rejects_a_wrong_degenerate_sd_gluing(monkeypatch):
+    from homcat.subdivision import SdResult, sd
+
+    # composites g·g⁻¹ restrict 2-cells to degenerate edges, which sd
+    # brings to normal form through pair_ref
+    bz3 = nerve(corpus.cyclic_group_category(3), 2)
+    sd(bz3)
     original = SdResult.pair_ref
 
     def wrong(self, a, xref, chain):
-        # the right dimension, the wrong cell: the chain collapsed onto
-        # its first subset
-        return original(self, a, xref, chain[:1] * len(chain))
+        # the right dimension, the wrong cell: the chain moved onto [a]
+        return original(self, a, xref, (tuple(range(a + 1)),) * len(chain))
 
     monkeypatch.setattr(SdResult, "pair_ref", wrong)
     with pytest.raises(InvalidStructure, match="simplicial identity fails"):
-        sd(torus)
+        sd(bz3)
 
 
 def test_validate_reads_faces_without_calling_face(monkeypatch):

@@ -31,6 +31,7 @@ from homcat.subdivision import (
     SdResult,
     _chain_template,
     _subset_chains,
+    _top_plan,
     ex,
     ex_iter,
     ex_unit,
@@ -904,6 +905,7 @@ def test_sd_map_and_last_vertex_match_the_oracle():
 
 def test_pair_ref_templates_are_keyed_by_degree_and_chain_only():
     _chain_template.cache_clear()
+    _top_plan.cache_clear()  # sd's plans read the templates of their d_m chains
     torus = torus_triangulation()
     sd_torus = sd(torus).complex
     after_torus = _chain_template.cache_info().currsize
@@ -917,6 +919,25 @@ def test_pair_ref_templates_are_keyed_by_degree_and_chain_only():
         for m in range(max_dim + 1)
     )
     assert after_torus < _chain_template.cache_info().currsize <= chains
+
+
+def test_sd_origin_and_cell_ref_are_complete_inverse_tables():
+    # the nerve of Z/3 has degenerate restrictions, so sd calls pair_ref
+    for x in [nerve(corpus.cyclic_group_category(3), 2), torus_triangulation(),
+              horn(2, 1)]:
+        result = sd(x)
+        cells = [(m, name) for m, names in result.complex.cells.items() for name in names]
+        assert list(result.origin) == cells
+        assert len(result.cell_ref) == len(cells)
+        for (m, fresh), (a, name, chain) in result.origin.items():
+            assert result.cell_ref[(name, chain)] == CellRef(fresh)
+        # the faces share the CellRef that cell_ref holds for each cell
+        for refs in result.complex.faces.values():
+            for ref in refs:
+                if not ref.word:
+                    m = result.complex.base_dim(ref)
+                    _, name, chain = result.origin[(m, ref.base)]
+                    assert result.cell_ref[(name, chain)] is ref
 
 
 def test_sd_makes_no_union_find_call(monkeypatch):
