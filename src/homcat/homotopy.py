@@ -520,7 +520,7 @@ def tietze_simplify(pres: GroupPresentation, budget: int = 100) -> GroupPresenta
     The isomorphism class of the group never changes.
 
     Each relator keeps its slot (``None`` once dropped), its word's facts
-    (:func:`_relator_facts`, worked out once per word) beside it, and the
+    (:func:`_relator_facts`, worked out when it is put) beside it, and the
     input's generator numbers until the end.  A dedup move keeps the first
     slot of every key held twice; otherwise the least slot with a lone
     generator is the victim, and its elimination rewrites only the slots
@@ -535,7 +535,6 @@ def tietze_simplify(pres: GroupPresentation, budget: int = 100) -> GroupPresenta
         raise SchemaError(
             f"Tietze move budget must be nonnegative, got {budget}", budget=budget
         )
-    memo: dict[tuple[int, ...], tuple] = {}  # word -> _relator_facts(word)
     slots: list[tuple[int, ...] | None] = [None] * len(pres.relators)
     facts: list[tuple] = [()] * len(pres.relators)  # of each live slot
     occurs = [set() for _ in range(len(pres.generators) + 1)]  # by generator
@@ -559,9 +558,7 @@ def tietze_simplify(pres: GroupPresentation, budget: int = 100) -> GroupPresenta
 
     def put(k: int, word: tuple[int, ...]) -> bool:
         """Slot k takes ``word`` reduced, if nonempty; True if it has a lone generator."""
-        got = memo.get(word)
-        if got is None:
-            got = memo[word] = _relator_facts(word)
+        got = _relator_facts(word)
         reduced, letters, lone_g, key = got
         if not reduced:
             return False

@@ -1,27 +1,16 @@
 """Weak equivalences, zig-zag localization, lifting, and model axioms.
 
-Localization works over a bounded universe of composable letter words
-(forward morphisms and formal inverses of marked ones), interned as
-integers with the rewrites of every letter pair tabulated once.  The
-universe is reduced: every letter is a word, but a longer word uses only
-non-identity forward letters and formal inverses of marked morphisms
-with no inverse in C, since every other letter rewrites to something
-lower.  ``cap`` (the CLI's ``--cap``) bounds the number of words in this
-reduced universe.  Local rewrites never lengthen a word, so congruence
-closure inside the universe is a union-find over single rewrite steps,
-and a word's rewrites are the same at every bound: the universe and its
-union-find are grown once, one word length at a time, until the class
-structure is stable or the cap is hit.  Whether the result really is the
-localization is then re-checked behaviorally: the projection must send
-marked morphisms to isomorphisms, and the test-suite verifies the
-universal property by functor enumeration on the corpus."""
+C[W⁻¹] is presented by C's morphisms and formal inverses of W, with C's
+composition and the inverse laws as relations, and computed by
+Todd–Coxeter enumeration of each Hom(x, −) (Carmody & Walters, 1991).
+The enumeration ends exactly when the localization is finite; ``cap``
+(the CLI's ``--cap``) bounds the cosets it defines."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 
-from .errors import CapExceeded, SchemaError
+from .errors import CapExceeded, NotUniversal, SchemaError
 from .fincat import FinCategory, FinFunctor, Mor, UnionFind, join_names
 
 
@@ -69,112 +58,6 @@ class MarkedCategory:
 # -- localization -------------------------------------------------------------
 
 
-def _letter_endpoints(cat: FinCategory, letter: tuple[str, str]) -> tuple[str, str]:
-    kind, name = letter
-    if kind == "m":
-        return cat.src(name), cat.dst(name)
-    return cat.dst(name), cat.src(name)
-
-
-@dataclass
-class _Letters:
-    """Integer letter tables of one localization.
-
-    Letter ``a`` is ``pairs[a]``, the ``a``-th ``(kind, name)`` pair in
-    sorted order, so comparing integer words compares the words of pairs.
-    The formal inverses ``("i", name)`` sort first: letter ``a`` is one
-    exactly when ``a < n_inverse``.
-    """
-
-    pairs: list[tuple[str, str]]
-    letter: dict[tuple[str, str], int]  # pairs[a] -> a
-    n_inverse: int
-    src: list[str]
-    dst: list[str]
-    # the reduced letters that may follow each letter in a word of length
-    # at least 2: none after an identity or a swappable formal inverse
-    follow: list[list[int]]
-    pair: dict[tuple[int, int], int]  # a two-letter factor's one-letter rewrite
-    identity: list[bool]
-    # the forward letter equal to a formal inverse of a morphism that has an
-    # inverse in C; every other letter is its own swap
-    swap: list[int]
-    reduced: list[bool]  # neither an identity nor swappable
-
-
-def _letter_tables(cat: FinCategory, weq: frozenset) -> _Letters:
-    pairs = sorted(
-        [("m", m.name) for m in cat.morphisms] + [("i", name) for name in weq]
-    )
-    letter = {p: a for a, p in enumerate(pairs)}
-    ends = [_letter_endpoints(cat, p) for p in pairs]
-    pair = {}
-    for a, (k1, n1) in enumerate(pairs):
-        for b, (k2, n2) in enumerate(pairs):
-            if ends[b][0] != ends[a][1]:
-                continue
-            if k1 == "m" and k2 == "m":
-                # diagrammatic order: first n1 then n2 is the composite n2∘n1
-                pair[a, b] = letter["m", cat.compose(n2, n1)]
-            elif k1 == "m" and k2 == "i" and n1 == n2:
-                pair[a, b] = letter["m", cat.identity[cat.src(n1)]]
-            elif k1 == "i" and k2 == "m" and n1 == n2:
-                pair[a, b] = letter["m", cat.identity[cat.dst(n1)]]
-            elif k1 == "i" and k2 == "i":
-                # first n1⁻¹ then n2⁻¹ is (n1∘n2)⁻¹ when that composite is in W
-                composite = cat.compose(n1, n2)
-                if composite in weq:
-                    pair[a, b] = letter["i", composite]
-    swap = []
-    for a, (kind, name) in enumerate(pairs):
-        inv = cat.inverse(name) if kind == "i" else None
-        swap.append(a if inv is None else letter["m", inv])
-    identity = [kind == "m" and cat.is_identity(name) for kind, name in pairs]
-    reduced = [swap[a] == a and not identity[a] for a in range(len(pairs))]
-    follow = [
-        [b for b in range(len(pairs)) if reduced[b] and ends[b][0] == end]
-        if reduced[a] else []
-        for a, (_, end) in enumerate(ends)
-    ]
-    return _Letters(
-        pairs,
-        letter,
-        len(weq),
-        [src for src, _ in ends],
-        [dst for _, dst in ends],
-        follow,
-        pair,
-        identity,
-        swap,
-        reduced,
-    )
-
-
-def _rewrites(t: _Letters, word: tuple):
-    """All single-step reductions of a word; none of them lengthen it."""
-    pair = t.pair
-    for k in range(len(word) - 1):
-        c = pair.get((word[k], word[k + 1]))
-        if c is not None:
-            yield word[:k] + (c,) + word[k + 2:]
-    for k, a in enumerate(word):
-        if t.identity[a] and len(word) >= 2:
-            yield word[:k] + word[k + 1:]
-        b = t.swap[a]
-        if b != a:
-            yield word[:k] + (b,) + word[k + 1:]
-
-
-def _reduce(t: _Letters, word: tuple) -> tuple:
-    """ρ: apply every swap, then delete every identity letter; a word of
-    identities keeps its first letter."""
-    if all(map(t.reduced.__getitem__, word)):
-        return word
-    word = tuple([t.swap[a] for a in word])
-    kept = tuple([a for a in word if not t.identity[a]])
-    return kept or word[:1]
-
-
 @dataclass
 class Localization:
     category: FinCategory
@@ -182,178 +65,193 @@ class Localization:
     marked: MarkedCategory
 
 
-# Why the reduced universe gives the answer of the full one.
-#
-# Every rewrite path maps into the reduced universe: if u rewrites to v
-# in the full universe, ρ(u) and ρ(v) are joined by rewrites of reduced
-# words, each followed by ρ.  Below, n' is the forward letter for n⁻¹.
-# - Swap, identity deletion: ρ(u) = ρ(v).
-# - m·m: with an identity factor this is an identity deletion; otherwise
-#   ρ(u) keeps the factor and rewrites it.
-# - m·i, i·m of one name n: if n has an inverse n', ρ(u) holds n·n' or
-#   n'·n, an m·m factor with the same identity as product; if not, ρ(u)
-#   keeps the factor.
-# - i·i, first n₁⁻¹ then n₂⁻¹ for n₂: A→B, n₁: B→C, c = n₁∘n₂ in W: if
-#   both swap, ρ(u) holds n₁'·n₂', whose m·m product is c⁻¹ in C, the
-#   swap of c⁻¹; if neither swaps, ρ(u) keeps the factor.  If only n₁
-#   swaps (and is no identity, else ρ(u) = ρ(v)), c has no inverse and
-#   the reduced word (c⁻¹, c, n₁', n₂⁻¹) rewrites by c⁻¹·c = id_C to
-#   (n₁', n₂⁻¹) and by c·n₁' = n₂, then n₂·n₂⁻¹ = id_A, to (c⁻¹).  If
-#   only n₂ swaps, (n₁⁻¹, n₂', c, c⁻¹) joins (n₁⁻¹, n₂') to (c⁻¹) alike.
-#   These joins take two more letters than u has, so at one bound the
-#   reduced classes may be finer than the full ones; they agree once the
-#   classes are stable.
-# Representatives do not change: a swap lowers a word in representative
-# order (as many letters, one formal inverse fewer) and an identity
-# deletion shortens it, so the least word of every class is reduced or
-# one letter long, and it is in the reduced universe.
-#
-# Each reduced edge is a chain of full rewrites, so the union-find only
-# joins equal morphisms of C[W⁻¹]; the closure check, ``validate`` and
-# the invertibility check then make any returned answer exact.  So the
-# reduction changes whether the search finishes, not what it returns.
+# Why a finished table is Hom(x, −).  Each coset is 0·u for the word u
+# that defined it.  A merge joins the two ends of a relation traced from a
+# coset, or k·a and j·a once k and j are joined, so it only joins cosets
+# whose words are equal arrows of the presented category.  Conversely each
+# live coset has a full row and has traced every relation at its object
+# to equal ends, and merges keep both facts, so the table is a functor to
+# sets in which 0·u = 0·v whenever u = v.  Hence u ↦ 0·u is a bijection
+# from the arrows out of x onto the live cosets.
+
+
+def hom_tables(objects, ends, relations, cap: int = 20000) -> dict:
+    """Todd–Coxeter enumeration of every Hom(x, −) of a presented category.
+
+    Letter a runs from ``ends[a][0]`` to ``ends[a][1]``, and each relation
+    is a pair of letter words, not both empty, with equal ends (``()`` is
+    an identity).  Cosets are processed in order (HLT): a live coset
+    traces both sides of every relation at its object, defining cosets as
+    needed, merges the two ends, then fills its row.  Coincidences go
+    through :class:`UnionFind`, whose least root keeps the older coset.
+
+    Returns ``{x: act}``, where coset 0 of ``act`` is id_x and
+    ``act[k][a]`` is coset k followed by letter a, for every letter a
+    leaving k's object.  Raises :class:`CapExceeded` with the ``cosets``
+    defined and the ``object`` enumerated once more than ``cap`` cosets
+    are defined over all objects.
+    """
+    at: dict = {x: [] for x in objects}
+    for lhs, rhs in relations:
+        at[ends[(lhs or rhs)[0]][0]].append((lhs, rhs))
+    leaving: dict = {x: [] for x in objects}
+    for a, (src, _) in enumerate(ends):
+        leaving[src].append(a)
+    defined = 0
+    tables = {}
+    for x in objects:
+        rows: list[dict[int, int]] = [{}]
+        obj = [x]
+        classes = UnionFind([0])
+        find = classes.find
+
+        def define(k: int, a: int) -> int:
+            nonlocal defined
+            defined += 1
+            if defined > cap:
+                raise CapExceeded(
+                    "coset enumeration exceeded the cap",
+                    cap=cap,
+                    cosets=defined,
+                    object=x,
+                )
+            rows[k][a] = new = len(rows)
+            rows.append({})
+            obj.append(ends[a][1])
+            classes.add(new)
+            return new
+
+        def trace(k: int, word) -> int:
+            for a in word:
+                d = rows[k].get(a)
+                k = define(k, a) if d is None else find(d)
+            return k
+
+        def coincide(k: int, j: int) -> None:
+            pending = [(k, j)]
+            while pending:
+                k, j = sorted(map(find, pending.pop()))
+                if k != j:
+                    classes.union(k, j)
+                    row = rows[k]
+                    for a, d in rows[j].items():
+                        e = row.setdefault(a, d)
+                        if e != d:
+                            pending.append((d, e))
+
+        defined += 1  # coset 0, id_x
+        k = 0
+        while k < len(rows):
+            if find(k) == k:
+                for lhs, rhs in at[obj[k]]:
+                    coincide(trace(k, lhs), trace(k, rhs))
+                    if find(k) != k:
+                        break
+                else:
+                    for a in leaving[obj[k]]:
+                        if a not in rows[k]:
+                            define(k, a)
+            k += 1
+        live = [k for k in range(len(rows)) if find(k) == k]
+        number = {k: n for n, k in enumerate(live)}
+        tables[x] = [{a: number[find(d)] for a, d in rows[k].items()} for k in live]
+    return tables
 
 
 def localize(marked: MarkedCategory, cap: int = 20000) -> Localization:
     """Adjoin formal inverses for the marked morphisms.
 
-    The universe of composable words up to length L = 4, 6, ... is grown
-    once per call: the words of each new length are numbered in
-    representative order (shortest, then fewest formal inverses, then
-    lexicographic), added to one union-find and joined to their
-    rewrites, so the least member of a class is its representative.  The
-    words of lengths up to L/2 give a candidate category; L stops growing
-    when a candidate agrees with the last one found.
-
-    The universe is reduced (see the module docstring): a formal inverse
-    w⁻¹ of a morphism w with an inverse w' in C *swaps* to the forward
-    letter w', and the normalizer ρ (:func:`_reduce`) maps each rewrite,
-    and each product of two representatives, into the universe.
-
-    Raises :class:`CapExceeded` when the reduced universe outgrows
-    ``cap`` before the class structure stabilizes, or when L passes 40;
-    the payload names the ``universe`` size and the ``word_length`` L
-    reached.
+    C[W⁻¹] is presented by the letters ``(kind, name)`` in sorted order,
+    C's morphisms ``("m", f)`` and the formal inverses ``("i", w)``, which
+    sort first; the relations are (id_y) = (), (f, g) = (g∘f) for every
+    composable pair of non-identities, and (w, w⁻¹) = (w⁻¹, w) = () for
+    w in W.  :func:`hom_tables` enumerates each Hom(x, −), and each arrow
+    is named by spelling its least non-empty word in the order (length,
+    formal inverses, letters); the arrows are listed by length, then
+    word.  ``cap`` bounds the cosets defined over all objects; the
+    enumeration ends exactly when the localization is finite, so an
+    infinite one raises :class:`CapExceeded`.
     """
     cat = marked.base
     weq = marked.weq
-    t = _letter_tables(cat, weq)
-    words: list[tuple] = []  # word id -> word, in representative order
-    index: dict[tuple, int] = {}
-    classes = UnionFind()
-    find = classes.find
-    upto = [0]  # upto[k]: the number of words of length at most k
-    # the longest words so far, in lexicographic order, with inverse counts
-    level: list[tuple[tuple, int]] = []
+    pairs = sorted(
+        [("m", m.name) for m in cat.morphisms] + [("i", name) for name in weq]
+    )
+    letter = {p: a for a, p in enumerate(pairs)}
+    ends = [
+        (cat.src(name), cat.dst(name)) if kind == "m" else (cat.dst(name), cat.src(name))
+        for kind, name in pairs
+    ]
+    relations = [((letter["m", cat.identity[x]],), ()) for x in cat.objects]
+    relations += [
+        ((letter["m", f], letter["m", g]), (letter["m", cat.compose(g, f)],))
+        for g, f in cat.composable_pairs()
+        if not cat.is_identity(g) and not cat.is_identity(f)
+    ]
+    for name in weq:
+        w, inverse = letter["m", name], letter["i", name]
+        relations += [((w, inverse), ()), ((inverse, w), ())]
+    tables = hom_tables(cat.objects, ends, relations, cap)
 
-    def grow(max_len: int) -> None:
-        nonlocal level
-        start = len(words)
-        for length in range(len(upto), max_len + 1):
-            if length == 1:
-                level = [((a,), int(a < t.n_inverse)) for a in range(len(t.pairs))]
-            else:
-                level = [
-                    (word + (b,), inverses + (b < t.n_inverse))
-                    for word, inverses in level
-                    for b in t.follow[word[-1]]
-                ]
-            if level:
-                # fewest formal inverses first, so that classes of ordinary
-                # morphisms keep their ordinary names
-                for word, _ in sorted(level, key=itemgetter(1)):
-                    index[word] = len(words)
-                    classes.add(len(words))
-                    words.append(word)
-                if len(words) > cap:
-                    raise CapExceeded(
-                        "localization word universe exceeded the cap",
-                        cap=cap,
-                        universe=len(words),
-                        word_length=max_len,
-                    )
-            upto.append(len(words))
-        # a rewrite never lengthens a word, so the edges of the new words
-        # are complete now, and no later length adds to them
-        union = classes.union
-        for w in range(start, len(words)):
-            for other in _rewrites(t, words[w]):
-                union(w, index[_reduce(t, other)])
+    # Name each coset by its least non-empty word in the order (length,
+    # formal inverses, letters).  The order is compatible with right
+    # multiplication, so that word is a letter after the empty word or after
+    # the least word of another coset: a walk one length at a time finds it.
+    word = {}
+    for x, act in tables.items():
+        level = {0: (0, ())}  # coset -> (formal inverses, word)
+        while level:
+            longer: dict[int, tuple] = {}
+            for k, (inverses, w) in level.items():
+                for a, d in act[k].items():
+                    key = (inverses + (a < len(weq)), w + (a,))
+                    if (x, d) not in word and (d not in longer or key < longer[d]):
+                        longer[d] = key
+            word.update(((x, d), w) for d, (_, w) in longer.items())
+            level = longer
+    reps = sorted(word, key=lambda r: (len(word[r]), word[r]))
+    end = {r: ends[word[r][-1]][1] for r in reps}
 
-    def structure(half: int):
-        reps = sorted(
-            (r for r in range(upto[half]) if find(r) == r),
-            key=lambda r: (len(words[r]), words[r]),
-        )
-        rep_set = set(reps)
-        table = {}
-        for u in reps:
-            end = t.dst[words[u][-1]]
-            for v in reps:
-                if t.src[words[v][0]] == end:
-                    product = find(index[_reduce(t, words[u] + words[v])])
-                    if product not in rep_set:
-                        return None
-                    table[(u, v)] = product
-        return reps, table
-
-    max_len, previous = 4, None
-    while True:
-        grow(max_len)
-        current = structure(max_len // 2)
-        if current is not None and previous is not None and current == previous:
-            break
-        if current is not None:
-            previous = current
-        max_len += 2
-        if max_len > 40:
-            raise CapExceeded(
-                "localization did not stabilize within word length 40",
-                cap=cap,
-                universe=len(words),
-                word_length=40,
-            )
-
-    reps, table = current
-
-    def rep_of(name: str) -> int:
-        return find(index[(t.letter["m", name],)])
+    def then(r: tuple, w: tuple) -> tuple:
+        x, k = r
+        for a in w:
+            k = tables[x][k][a]
+        return x, k
 
     # a letter is named (name,) or (name, "-1") on '^', a word on '*'
-    keys = [(n,) if k == "m" else (n, "-1") for k, n in t.pairs]
+    keys = [(n,) if k == "m" else (n, "-1") for k, n in pairs]
     label = join_names(keys, "^")
-    spell = {r: tuple(label[keys[a]] for a in words[r]) for r in reps}
+    spell = {r: tuple(label[keys[a]] for a in word[r]) for r in reps}
     spelled = join_names(spell.values(), "*")
-    names = {rep_of(cat.identity[x]): f"id_{x}" for x in cat.objects}
-    for rep in reps:
-        names.setdefault(rep, spelled[spell[rep]])
-    morphisms = [
-        Mor(names[rep], t.src[words[rep][0]], t.dst[words[rep][-1]]) for rep in reps
-    ]
+    names = {(x, 0): f"id_{x}" for x in cat.objects}
+    for r in reps:
+        names.setdefault(r, spelled[spell[r]])
+    morphisms = [Mor(names[r], r[0], end[r]) for r in reps]
+    out_of = {x: [] for x in cat.objects}
+    for r in reps:
+        out_of[r[0]].append(r)
     compose_table = {
-        (names[v], names[u]): names[w] for (u, v), w in table.items()
+        (names[v], names[u]): names[then(u, word[v])]
+        for u in reps
+        for v in out_of[end[u]]
     }
-    identity = {x: names[rep_of(cat.identity[x])] for x in cat.objects}
+    identity = {x: f"id_{x}" for x in cat.objects}
     localized = FinCategory(list(cat.objects), morphisms, compose_table, identity)
     localized.validate()
     projection = FinFunctor(
         cat,
         localized,
         {x: x for x in cat.objects},
-        {m.name: names[rep_of(m.name)] for m in cat.morphisms},
+        {m.name: names[then((m.src, 0), (letter["m", m.name],))] for m in cat.morphisms},
     )
     projection.validate()
-    result = Localization(localized, projection, marked)
     for name in weq:
         if not localized.is_iso(projection.on_mor(name)):
-            raise CapExceeded(
-                f"projection of marked morphism {name!r} is not invertible; "
-                "the universe was too small",
-                cap=cap,
-                universe=len(words),
-                word_length=max_len,
+            raise NotUniversal(
+                f"projection of marked morphism {name!r} is not invertible",
+                morphism=name,
             )
-    return result
+    return Localization(localized, projection, marked)
 
 
 # -- lifting ------------------------------------------------------------------

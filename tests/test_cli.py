@@ -13,14 +13,12 @@ import pytest
 import homcat
 from homcat.cli import _parser, main
 from homcat.homotopy import pi1, presentation_from_json
-from homcat.modelcat import saturate_two_of_three
 from homcat.setcalc import diagram_to_json
 from homcat.simplicial import horn, nerve
 from homcat.subdivision import sd
 
 import corpus
 from test_homotopy import rp2_triangulation, torus_triangulation
-from test_modelcat import count_reduced_words
 from test_simplicial import s1_model
 
 
@@ -758,18 +756,15 @@ def test_localize_cap_report_says_where_it_tripped(tmp_path, capsys):
     code, out = run(capsys, "localize", arrow, "--weq", "f", "--cap", "3")
     assert code == 1
     report = json.loads(out)
-    assert (report["cap"], report["universe"], report["word_length"]) == (3, 6, 4)
+    assert (report["cap"], report["cosets"], report["object"]) == (3, 4, "A")
     assert run(capsys, "localize", arrow, "--weq", "f", "--cap", "3") == (code, out)
     pair = category_file(tmp_path, corpus.parallel_pair(), "pair.json")
     code, out = run(capsys, "localize", pair, "--weq", "a")
     assert code == 1
     report = json.loads(out)
     assert report["error"] == "CapExceeded"
-    # the reduced universe passes the cap at word length 23 of 24
-    marked = saturate_two_of_three(corpus.parallel_pair(), ["a"])
-    assert (report["cap"], report["universe"], report["word_length"]) == (
-        20000, count_reduced_words(marked, 23), 24,
-    )
+    # the localization is infinite: Hom(S, −) passes the cap
+    assert (report["cap"], report["cosets"], report["object"]) == (20000, 20001, "S")
 
 
 def test_model_check_verb(tmp_path, capsys):

@@ -13,7 +13,7 @@ from homcat.fincat import (
     Mor,
     enumerate_functors,
     partition,
-    quotient,
+    product_category,
     validate_category,
 )
 from homcat.modelcat import (
@@ -28,6 +28,8 @@ from homcat.modelcat import (
     square_lifts,
     trivial_model,
 )
+
+from homcat.simplicial import nerve, nerve_names
 
 import corpus
 
@@ -164,9 +166,10 @@ def test_localized_category_serializes_and_reloads():
 
 # -- localization against the string-word oracle ---------------------------------
 #
-# The oracle is the localization as it was before words were interned as
-# integers: it rebuilds the whole universe and its partition at every word
-# length and rewrites (kind, name) words through the category.
+# The oracle localizes by congruence closure over a bounded universe of
+# (kind, name) words: at every word length it rebuilds the universe and its
+# partition by single rewrites through the category, and it stops when two
+# lengths give the same category.
 
 
 def _letter_endpoints(cat: FinCategory, letter: tuple[str, str]) -> tuple[str, str]:
@@ -381,27 +384,33 @@ def localization_outcome(localizer, marked, cap):
 
 
 def test_localize_matches_string_word_oracle():
-    # the reduced universe is far smaller than the oracle's, so where the
-    # oracle trips a cap, localize may finish: then its answer must be the
-    # oracle's at a cap ten times the default
-    outcomes = set()
-    beyond_oracle = []
+    # where the oracle finishes, at the default cap or at ten times it,
+    # localize returns its exact answer at the default cap; at smaller caps
+    # localize either trips or returns that same answer
+    outcomes, tripped, beyond_oracle = set(), [], []
     for marked in small_marked_categories():
-        roomy = None
-        for cap in (20000, 3, 30, 300, 3000):
-            want = localization_outcome(oracle_localize, marked, cap)
-            got = localization_outcome(localize, marked, cap)
-            outcomes.add(want[0] if want[0] == "CapExceeded" else "category")
-            if want[0] != "CapExceeded" or got[0] == "CapExceeded":
-                assert got == want
-                continue
-            if roomy is None:
-                roomy = localization_outcome(oracle_localize, marked, 200000)
-            if roomy[0] == "CapExceeded":
-                beyond_oracle.append(marked)
-            else:
-                assert got == roomy
+        got = localization_outcome(localize, marked, 20000)
+        want = localization_outcome(oracle_localize, marked, 20000)
+        outcomes.add(want[0] if want[0] == "CapExceeded" else "category")
+        if got[0] == "CapExceeded":
+            # an infinite localization: the oracle cannot finish either
+            assert want[0] == "CapExceeded"
+            tripped.append(marked)
+            continue
+        if want[0] == "CapExceeded":
+            want = localization_outcome(oracle_localize, marked, 200000)
+        if want[0] == "CapExceeded":
+            beyond_oracle.append(marked)
+        else:
+            assert got == want
+        for cap in (3, 30, 300, 3000):
+            small = localization_outcome(localize, marked, cap)
+            assert small[0] == "CapExceeded" or small == got
     assert outcomes == {"CapExceeded", "category"}
+    # the parallel pair with a, b or both marked: a⁻¹∘b has infinite order
+    assert {tuple(sorted(m.weq)) for m in tripped} == {
+        ("a", "id_S", "id_T"), ("b", "id_S", "id_T"), ("a", "b", "id_S", "id_T"),
+    }
     # only Z/4 with every morphism marked is out of the oracle's reach;
     # test_localize_groupoids_without_a_seed covers it
     assert {tuple(sorted(m.weq)) for m in beyond_oracle} == {
@@ -409,187 +418,47 @@ def test_localize_matches_string_word_oracle():
     }
 
 
-def count_reduced_words(marked: MarkedCategory, max_len: int) -> int:
-    """Words of the reduced universe of lengths 1 to ``max_len``, counted by
-    endpoints: every letter alone, then composable words with no identity
-    and no formal inverse of a morphism that has an inverse in C."""
-    cat = marked.base
-    letters = [(m.src, m.dst) for m in cat.morphisms]
-    letters += [(cat.dst(name), cat.src(name)) for name in marked.weq]
-    reduced = [(m.src, m.dst) for m in cat.morphisms if not cat.is_identity(m.name)]
-    reduced += [
-        (cat.dst(name), cat.src(name))
-        for name in marked.weq
-        if cat.inverse(name) is None
-    ]
-    ending = {x: 0 for x in cat.objects}  # words of the current length, by end
-    for _, dst in reduced:
-        ending[dst] += 1
-    total = len(letters)
-    for _ in range(max_len - 1):
-        after = {x: 0 for x in cat.objects}
-        for src, dst in reduced:
-            after[dst] += ending[src]
-        ending = after
-        total += sum(ending.values())
-    return total
-
-
-def test_localize_rewrites_each_word_once(monkeypatch):
-    rewritten = []
-    original = modelcat._rewrites
-
-    def counting(*args):
-        rewritten.append(args[-1])
-        return original(*args)
-
-    monkeypatch.setattr(modelcat, "_rewrites", counting)
-    for marked in [
-        walking_weak_equivalence(),
-        saturate_two_of_three(corpus.poset_chain(2), ["le01"]),
-        saturate_two_of_three(corpus.walking_iso(), []),
-    ]:
-        rewritten.clear()
-        localize(marked)
-        longest = max(len(word) for word in rewritten)
-        assert len(set(rewritten)) == len(rewritten)
-        assert len(rewritten) == count_reduced_words(marked, longest)
-
-
 def test_localize_cap_says_where_it_tripped():
     with pytest.raises(CapExceeded) as small:
         localize(walking_weak_equivalence(), cap=3)
-    # six letters: f, id_A, id_B and their formal inverses
-    assert small.value.payload == {"cap": 3, "universe": 6, "word_length": 4}
+    # id_A, then f and f⁻¹ while tracing f·f⁻¹ = () from id_A
+    assert small.value.payload == {"cap": 3, "cosets": 4, "object": "A"}
     marked = saturate_two_of_three(corpus.parallel_pair(), ["a"])
     with pytest.raises(CapExceeded) as infinite:
         localize(marked)
-    # the localization is infinite (a⁻¹∘b has infinite order): the reduced
-    # words up to length 22 fit in the cap, those up to length 23 do not,
-    # while the universe grows to word length 24
-    assert count_reduced_words(marked, 22) <= 20000 < count_reduced_words(marked, 23)
-    assert infinite.value.payload == {
-        "cap": 20000, "universe": count_reduced_words(marked, 23), "word_length": 24,
-    }
+    # the localization is infinite (a⁻¹∘b has infinite order), and Hom(S, −)
+    # is enumerated first
+    assert infinite.value.payload == {"cap": 20000, "cosets": 20001, "object": "S"}
 
 
-# -- the reduced word universe -----------------------------------------------------
+# -- localizations that finish exactly when they are finite ----------------------
 
 
-def walking_retraction() -> FinCategory:
-    """s: A→B and r: B→A with r∘s = id_A; e = s∘r is idempotent.  Marking s
-    marks everything, and then first r⁻¹ then s⁻¹ is (r∘s)⁻¹ = id_A⁻¹, a
-    formal inverse that swaps to a forward letter."""
-    return validate_category(
-        {
-            "objects": ["A", "B"],
-            "morphisms": [
-                {"name": "s", "src": "A", "dst": "B"},
-                {"name": "r", "src": "B", "dst": "A"},
-                {"name": "e", "src": "B", "dst": "B"},
-            ],
-            "compose": [
-                ["r", "s", "id_A"],
-                ["s", "r", "e"],
-                ["e", "e", "e"],
-                ["e", "s", "s"],
-                ["r", "e", "r"],
-            ],
-        }
-    )
+def test_localize_cyclic_groups_without_a_seed_give_the_group():
+    for n in (7, 8, 10, 16):
+        cat = corpus.cyclic_group_category(n)
+        result = localize(saturate_two_of_three(cat, []))
+        assert sorted(m.name for m in result.category.morphisms) == sorted(
+            m.name for m in cat.morphisms
+        )
+        assert result.category.compose_table == cat.compose_table
+        assert result.projection.morphism_map == {m.name: m.name for m in cat.morphisms}
 
 
-def reduction_cases():
-    yield from small_marked_categories()
-    yield saturate_two_of_three(walking_retraction(), ["s"])
-
-
-def letter_is_reduced(cat: FinCategory, letter: tuple[str, str]) -> bool:
-    kind, name = letter
-    if kind == "m":
-        return not cat.is_identity(name)
-    return cat.inverse(name) is None
-
-
-def composable_words(t, max_len: int, letters) -> list[tuple]:
-    """Composable words of lengths 1 to ``max_len``: any letter first, then
-    only ``letters``."""
-    level = [(a,) for a in range(len(t.pairs))]
-    words = list(level)
-    for _ in range(max_len - 1):
-        level = [
-            w + (b,)
-            for w in level
-            if w[-1] in letters
-            for b in letters
-            if t.src[b] == t.dst[w[-1]]
-        ]
-        words += level
-    return words
-
-
-def is_reduced_word(t, cat: FinCategory, word: tuple) -> bool:
-    return len(word) == 1 or all(letter_is_reduced(cat, t.pairs[a]) for a in word)
-
-
-def test_reduced_rewrites_stay_in_the_reduced_universe():
-    for marked in reduction_cases():
-        cat = marked.base
-        t = modelcat._letter_tables(cat, marked.weq)
-        reduced = [a for a in range(len(t.pairs)) if letter_is_reduced(cat, t.pairs[a])]
-        for word in composable_words(t, 6, reduced):
-            for other in modelcat._rewrites(t, word):
-                image = modelcat._reduce(t, other)
-                assert is_reduced_word(t, cat, image), (t.pairs, word, image)
-                assert len(image) <= len(word)
-                assert (t.src[image[0]], t.dst[image[-1]]) == (
-                    t.src[word[0]], t.dst[word[-1]]
-                )
-
-
-def test_reduced_classes_agree_with_the_full_universe():
-    # reduced(L) is no coarser than full(L) on reduced words, and full(L)
-    # is no coarser than reduced(L + 2), whose longer words close the i·i
-    # joins; where reduced(L) and reduced(L + 2) agree, all three agree
-    pinched = 0
-    for marked in reduction_cases():
-        cat = marked.base
-        t = modelcat._letter_tables(cat, marked.weq)
-        everything = range(len(t.pairs))
-        reduced = [a for a in everything if letter_is_reduced(cat, t.pairs[a])]
-
-        def reduced_classes(bound: int) -> dict:
-            words = composable_words(t, bound, reduced)
-            edges = [
-                (w, modelcat._reduce(t, other))
-                for w in words
-                for other in modelcat._rewrites(t, w)
-            ]
-            return quotient(words, edges)
-
-        for bound in range(2, 7):
-            full_words = composable_words(t, bound, everything)
-            if len(full_words) > 12000:
-                break
-            full = quotient(
-                full_words,
-                ((w, other) for w in full_words for other in modelcat._rewrites(t, w)),
-            )
-            short, longer = reduced_classes(bound), reduced_classes(bound + 2)
-            for w in full_words:
-                image = modelcat._reduce(t, w)
-                assert is_reduced_word(t, cat, image) and full[image] == full[w]
-                for other in modelcat._rewrites(t, w):
-                    assert longer[modelcat._reduce(t, other)] == longer[image]
-            pairs = list(itertools.combinations(short, 2))
-            for u, v in pairs:
-                if short[u] == short[v]:
-                    assert full[u] == full[v]
-                if full[u] == full[v]:
-                    assert longer[u] == longer[v]
-            if all((short[u] == short[v]) == (longer[u] == longer[v]) for u, v in pairs):
-                pinched += 1
-    assert pinched > 0
+def test_localize_everything_marked_gives_the_chaotic_groupoid():
+    for cat, count in [
+        (corpus.poset_chain(4), 25),
+        (corpus.poset_chain(5), 36),
+        (corpus.poset_chain(6), 49),
+        (product_category(corpus.poset_chain(1), corpus.poset_chain(2)), 36),
+    ]:
+        marked = saturate_two_of_three(cat, [m.name for m in cat.morphisms])
+        localized = localize(marked).category
+        assert len(localized.morphisms) == count == len(cat.objects) ** 2
+        for x in cat.objects:
+            for y in cat.objects:
+                (only,) = localized.hom(x, y)
+                assert localized.is_iso(only)
 
 
 def permutation_group_category(n: int) -> FinCategory:
@@ -625,6 +494,124 @@ def test_localize_groupoids_without_a_seed():
         images = {result.projection.on_mor(m.name) for m in cat.morphisms}
         assert len(images) == len(cat.morphisms) == len(result.category.morphisms)
         assert result.category.objects == cat.objects
+
+
+# -- the enumeration core on presentations with longer relations ---------------
+
+
+def then(p: tuple, q: tuple) -> tuple:
+    """The permutation p followed by q."""
+    return tuple(q[i] for i in p)
+
+
+def reach(act: list[dict], start, step) -> list:
+    """The image of every coset of ``act``, walking from coset 0 (image
+    ``start``); coset k followed by letter a has image step(image, a).
+    Asserts that the walk reaches every coset and that the images agree
+    with every entry of the table."""
+    image, todo = {0: start}, [0]
+    for k in todo:
+        for a, j in act[k].items():
+            h = step(image[k], a)
+            if j not in image:
+                image[j] = h
+                todo.append(j)
+            assert image[j] == h
+    assert len(image) == len(act)
+    return [image[k] for k in range(len(act))]
+
+
+def test_hom_tables_enumerates_von_dyck_groups():
+    # ⟨a, b | a², b³, (ab)^m⟩ is A4, S4 and A5 for m = 3, 4, 5, realized
+    # here by permutations of five points; relations this long make the
+    # coincidences cascade through rows
+    for m, a, b, order in [
+        (3, (0, 2, 1, 4, 3), (0, 1, 3, 4, 2), 12),
+        (4, (0, 1, 2, 4, 3), (0, 2, 3, 1, 4), 24),
+        (5, (0, 2, 1, 4, 3), (1, 3, 2, 0, 4), 60),
+    ]:
+        perms = [a, b, a, tuple(sorted(range(5), key=b.__getitem__))]  # a, b, a⁻¹, b⁻¹
+        relations = [((0, 0), ()), ((1, 1, 1), ()), ((0, 1) * m, ())]
+        relations += [((0, 2), ()), ((2, 0), ()), ((1, 3), ()), ((3, 1), ())]
+        (act,) = modelcat.hom_tables(["*"], [("*", "*")] * 4, relations).values()
+        image = reach(act, tuple(range(5)), lambda p, letter: then(p, perms[letter]))
+        assert len(set(image)) == len(image) == order
+        assert all(len(row) == 4 for row in act)
+
+
+# -- the fundamental category of a nerve, by the same enumeration --------------
+
+
+def walking_retraction() -> FinCategory:
+    """s: A→B and r: B→A with r∘s = id_A; e = s∘r is idempotent."""
+    return validate_category(
+        {
+            "objects": ["A", "B"],
+            "morphisms": [
+                {"name": "s", "src": "A", "dst": "B"},
+                {"name": "r", "src": "B", "dst": "A"},
+                {"name": "e", "src": "B", "dst": "B"},
+            ],
+            "compose": [
+                ["r", "s", "id_A"],
+                ["s", "r", "e"],
+                ["e", "e", "e"],
+                ["e", "s", "s"],
+                ["r", "e", "r"],
+            ],
+        }
+    )
+
+
+def fundamental_category_tables(x) -> tuple[list[str], dict]:
+    """The edges of X and the Hom tables of τ₁(X): the 0-cells, a letter per
+    nondegenerate 1-cell, and d₁σ = d₀σ·d₂σ for every nondegenerate 2-cell
+    σ, a degenerate edge being () (a degenerate σ gives a trivial one)."""
+    edges = x.cells[1]
+    letter = {e: a for a, e in enumerate(edges)}
+    ends = [(x.faces[(1, e)][1].base, x.faces[(1, e)][0].base) for e in edges]
+
+    def word(ref) -> tuple:
+        return () if ref.word else (letter[ref.base],)
+
+    relations = []
+    for sigma in x.cells[2]:
+        d0, d1, d2 = x.faces[(2, sigma)]
+        relations.append((word(d2) + word(d0), word(d1)))
+    return edges, modelcat.hom_tables(x.cells[0], ends, relations)
+
+
+def test_fundamental_category_of_a_nerve_is_the_category():
+    cats = [
+        corpus.terminal_category(),
+        corpus.walking_arrow(),
+        corpus.walking_iso(),
+        corpus.discrete(4),
+        corpus.poset_chain(3),
+        corpus.parallel_pair(),
+        corpus.cyclic_group_category(5),
+        corpus.idempotent_monoid_category(),
+        corpus.chaotic_groupoid(["a", "b", "c"]),
+        permutation_group_category(3),
+        walking_retraction(),
+        product_category(corpus.poset_chain(1), corpus.walking_iso()),
+    ]
+    for cat in cats:
+        edges, tables = fundamental_category_tables(nerve(cat, 2))
+        vertices, chains = nerve_names(cat, 1)
+        morphism = {
+            chains[(m.name,)]: m.name for m in cat.morphisms if not cat.is_identity(m.name)
+        }
+        for x in cat.objects:
+            # τ₁(N C) ≅ C: sending id_x to id_x and each letter to composing
+            # with its morphism is a bijection onto the arrows out of x
+            act = tables[vertices[x]]
+            image = reach(act, cat.identity[x], lambda h, a: cat.compose(morphism[edges[a]], h))
+            assert sorted(image) == sorted(m.name for m in cat.morphisms if m.src == x)
+            for k, row in enumerate(act):
+                assert sorted(morphism[edges[a]] for a in row) == sorted(
+                    m for m in morphism.values() if cat.src(m) == cat.dst(image[k])
+                )
 
 
 # -- lifting -----------------------------------------------------------------------
