@@ -32,11 +32,6 @@ def _load(path: str) -> dict:
     return raw
 
 
-def _category(raw: dict) -> "fincat.FinCategory":
-    payload = {k: v for k, v in raw.items() if k != "v"}
-    return fincat.validate_category(payload)
-
-
 def _abelianization_label(rank: int, torsion: tuple[int, ...]) -> str:
     parts = ["Z"] * rank + [f"Z/{d}" for d in torsion]
     return " x ".join(parts) if parts else "trivial"
@@ -46,7 +41,7 @@ def _abelianization_label(rank: int, torsion: tuple[int, ...]) -> str:
 
 
 def cmd_check(args) -> int:
-    cat = _category(_load(args.file))
+    cat = fincat.validate_category(_load(args.file))
     _emit(
         {
             "v": 1,
@@ -141,7 +136,7 @@ def cmd_kan_right(args) -> int:
 
 
 def cmd_nerve(args) -> int:
-    cat = _category(_load(args.file))
+    cat = fincat.validate_category(_load(args.file))
     _emit(simplicial.nerve(cat, args.max_dim).to_json_dict())
     return 0
 
@@ -264,7 +259,7 @@ def cmd_ex_iter(args) -> int:
 
 
 def cmd_localize(args) -> int:
-    cat = _category(_load(args.file))
+    cat = fincat.validate_category(_load(args.file))
     seed = [w for w in (args.weq.split(",") if args.weq else []) if w]
     marked = modelcat.saturate_two_of_three(cat, seed)
     result = modelcat.localize(marked, cap=args.cap)

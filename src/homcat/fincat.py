@@ -1,8 +1,10 @@
 """Finite categories with explicit composition tables.
 
 A category is stored as a total lookup structure: every composable pair has
-its composite recorded, so composition is O(1) and no word problem ever
-arises.  Identities are synthesized with reserved ``id_<object>`` names.
+its composite recorded, so composition is O(1) and no word problem arises.
+Identities are synthesized with reserved ``id_<object>`` names.  A category
+given by letters and relations (C[W⁻¹], a group) is made explicit by coset
+enumeration, :func:`hom_tables`, which ends exactly when it is finite.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass, field
 from .errors import (
     BadEndpoints,
     Budget,
+    CapExceeded,
     DEFAULT_FUNCTOR_BUDGET,
     DuplicateName,
     EndpointMismatch,
@@ -366,6 +369,130 @@ def quotient(elements, pairs) -> dict:
         union(a, b)
     find = classes.find
     return {x: find(x) for x in elements}
+
+
+# Why a finished table is Hom(x, −).  Each coset is 0·u for the word u
+# that defined it.  A merge joins the two ends of a relation traced from a
+# coset, or k·a and j·a once k and j are joined, so it only joins cosets
+# whose words are equal arrows of the presented category; a deduced entry
+# j·b = k, for k·a = j and (a, b) = (), is such an equality too.
+# Conversely each live coset has a full row and has traced every relation
+# at its object to equal ends, and merges keep both facts, so the table is
+# a functor to sets in which 0·u = 0·v whenever u = v.  Hence u ↦ 0·u is a
+# bijection from the arrows out of x onto the live cosets.
+
+
+def hom_tables(objects, ends, relations, cap: int = 20000) -> dict:
+    """Todd–Coxeter enumeration of every Hom(x, −) of a presented category.
+
+    Letter a runs from ``ends[a][0]`` to ``ends[a][1]``, and each relation
+    is a pair of letter words, not both empty, with equal ends (``()`` is
+    an identity).  Cosets are processed in order (HLT): a live coset
+    traces both sides of every relation at its object, defining cosets as
+    needed, merges the two ends, then fills its row.  Coincidences go
+    through :class:`UnionFind`, whose least root keeps the older coset.
+    Where the relations hold both (a, b) = () and (b, a) = (), defining
+    k·a = j also deduces j·b = k.
+
+    Returns ``{x: act}``, where coset 0 of ``act`` is id_x and
+    ``act[k][a]`` is coset k followed by letter a, for every letter a
+    leaving k's object.  Raises :class:`CapExceeded` with the ``cosets``
+    defined and the ``object`` enumerated once more than ``cap`` cosets
+    are defined over all objects.
+    """
+    at: dict = {x: [] for x in objects}
+    for lhs, rhs in relations:
+        at[ends[(lhs or rhs)[0]][0]].append((lhs, rhs))
+    leaving: dict = {x: [] for x in objects}
+    for a, (src, _) in enumerate(ends):
+        leaving[src].append(a)
+    cancels = {(lhs or rhs) for lhs, rhs in relations if not (lhs and rhs)}  # w = ()
+    inverse = {w[0]: w[1] for w in cancels if len(w) == 2 and w[::-1] in cancels}
+    defined = 0
+    tables = {}
+    for x in objects:
+        rows: list[dict[int, int]] = [{}]
+        obj = [x]
+        classes = UnionFind([0])
+        find = classes.find
+
+        def define(k: int, a: int) -> int:
+            nonlocal defined
+            defined += 1
+            if defined > cap:
+                raise CapExceeded(
+                    "coset enumeration exceeded the cap",
+                    cap=cap,
+                    cosets=defined,
+                    object=x,
+                )
+            rows[k][a] = new = len(rows)
+            rows.append({} if a not in inverse else {inverse[a]: k})
+            obj.append(ends[a][1])
+            classes.add(new)
+            return new
+
+        def trace(k: int, word) -> int:
+            for a in word:
+                d = rows[k].get(a)
+                k = define(k, a) if d is None else find(d)
+            return k
+
+        def coincide(k: int, j: int) -> None:
+            pending = [(k, j)]
+            while pending:
+                k, j = sorted(map(find, pending.pop()))
+                if k != j:
+                    classes.union(k, j)
+                    row = rows[k]
+                    for a, d in rows[j].items():
+                        e = row.setdefault(a, d)
+                        if e != d:
+                            pending.append((d, e))
+
+        defined += 1  # coset 0, id_x
+        k = 0
+        while k < len(rows):
+            if find(k) == k:
+                for lhs, rhs in at[obj[k]]:
+                    coincide(trace(k, lhs), trace(k, rhs))
+                    if find(k) != k:
+                        break
+                else:
+                    for a in leaving[obj[k]]:
+                        if a not in rows[k]:
+                            define(k, a)
+            k += 1
+        live = [k for k in range(len(rows)) if find(k) == k]
+        number = {k: n for n, k in enumerate(live)}
+        tables[x] = [{a: number[find(d)] for a, d in rows[k].items()} for k in live]
+    return tables
+
+
+def least_words(act: list[dict], counted) -> dict:
+    """``{coset: its least non-empty word}`` in a finished table ``act``, in
+    the order (length, letters in ``counted``, letters).  That word is a
+    letter after the empty word or after the least word of another coset,
+    so a walk one length at a time finds it."""
+    word: dict = {}
+    level = {0: (0, ())}  # coset -> (letters in counted, word)
+    while level:
+        longer: dict[int, tuple] = {}
+        for k, (weight, w) in level.items():
+            for a, d in act[k].items():
+                key = (weight + (a in counted), w + (a,))
+                if d not in word and (d not in longer or key < longer[d]):
+                    longer[d] = key
+        word.update((d, w) for d, (_, w) in longer.items())
+        level = longer
+    return word
+
+
+def follow(act: list[dict], k: int, word) -> int:
+    """Coset k of the table ``act`` followed by the letters of ``word``."""
+    for a in word:
+        k = act[k][a]
+    return k
 
 
 def backtrack(keys: list, domain, consistent, meter: Budget, what: str) -> list[dict]:

@@ -14,12 +14,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .errors import (
-    BaseNotFound,
-    DimensionTooLow,
-    SchemaError,
-)
-from .fincat import partition
+from .errors import BaseNotFound, CapExceeded, DimensionTooLow, SchemaError
+from .fincat import follow, hom_tables, partition
 from .simplicial import CellRef, SimplicialSet
 
 
@@ -357,24 +353,50 @@ class GroupHomSpec:
             for letter in self.images[g]:
                 if letter == 0 or abs(letter) > len(self.target.generators):
                     raise SchemaError(f"image letter {letter} out of range")
-        # necessary condition: relators must die in the abelianization of
-        # the target (the full word problem is not decidable here); all the
-        # images are tested at once, and one by one only to name a culprit
-        images = []
+        images = {}  # relator -> its image
         for word in self.source.relators:
             image = []
             for letter in word:
                 img = self.images[self.source.generators[abs(letter) - 1]]
                 image.extend(img if letter > 0 else invert_word(img))
-            images.append(tuple(image))
-        invariants = abelian_invariants(self.target)
-        if not _abelianized_trivial(images, self.target, invariants):
-            culprit = next(w for w, image in zip(self.source.relators, images)
-                           if not _abelianized_trivial([image], self.target, invariants))
-            raise SchemaError(
-                "a relator image is nontrivial in the target abelianization",
-                relator=self.source.word_to_names(culprit),
-            )
+            images[word] = tuple(image)
+        # exact where the target's table finishes; otherwise only in its
+        # abelianization, all at once, and one by one only to name a culprit
+        is_identity = _identity_test(self.target) if any(images.values()) else None
+        culprit = None
+        if is_identity is not None:
+            culprit = next((w for w, image in images.items() if not is_identity(image)),
+                           None)
+            message = "a relator image is not the identity in the target"
+        else:
+            invariants = abelian_invariants(self.target)
+            if not _abelianized_trivial(images.values(), self.target, invariants):
+                culprit = next(w for w, image in images.items()
+                               if not _abelianized_trivial([image], self.target, invariants))
+            message = "a relator image is nontrivial in the target abelianization"
+        if culprit is not None:
+            raise SchemaError(message, relator=self.source.word_to_names(culprit))
+
+
+# the cosets the exact relator check may define before it falls back
+GROUP_TABLE_CAP = 2000
+
+
+def _identity_test(pres: GroupPresentation):
+    """A test whether a word is 1, by the group's :func:`hom_tables` on one
+    object: letters 2i = generator i + 1 and 2i + 1 = its inverse, relations
+    g·g⁻¹ = g⁻¹·g = () and relator = (); None past ``GROUP_TABLE_CAP``."""
+    def letter(signed: int) -> int:
+        return 2 * abs(signed) - 2 + (signed < 0)
+
+    letters = 2 * len(pres.generators)
+    relations = [((a, a ^ 1), ()) for a in range(letters)]
+    relations += [(tuple(map(letter, w)), ()) for w in pres.relators if w]
+    try:
+        (act,) = hom_tables([0], [(0, 0)] * letters, relations, GROUP_TABLE_CAP).values()
+    except CapExceeded:
+        return None
+    return lambda word: follow(act, 0, map(letter, word)) == 0
 
 
 def _abelianized_trivial(words, pres: GroupPresentation, invariants) -> bool:

@@ -1,17 +1,19 @@
 """Weak equivalences, zig-zag localization, lifting, and model axioms.
 
 C[W⁻¹] is presented by C's morphisms and formal inverses of W, with C's
-composition and the inverse laws as relations, and computed by
-Todd–Coxeter enumeration of each Hom(x, −) (Carmody & Walters, 1991).
-The enumeration ends exactly when the localization is finite; ``cap``
-(the CLI's ``--cap``) bounds the cosets it defines."""
+composition and the inverse laws as relations, and computed by the coset
+enumerator of :mod:`homcat.fincat`, Todd–Coxeter on each Hom(x, −)
+(Carmody & Walters, 1991).  The enumeration ends exactly when the
+localization is finite; ``cap`` (the CLI's ``--cap``) bounds the cosets it
+defines."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import CapExceeded, NotUniversal, SchemaError
-from .fincat import FinCategory, FinFunctor, Mor, UnionFind, join_names
+from .errors import NotUniversal, SchemaError
+from .fincat import FinCategory, FinFunctor, Mor, join_names, validate_category
+from .fincat import follow, hom_tables, least_words
 
 
 # -- marked categories -------------------------------------------------------
@@ -65,99 +67,6 @@ class Localization:
     marked: MarkedCategory
 
 
-# Why a finished table is Hom(x, −).  Each coset is 0·u for the word u
-# that defined it.  A merge joins the two ends of a relation traced from a
-# coset, or k·a and j·a once k and j are joined, so it only joins cosets
-# whose words are equal arrows of the presented category.  Conversely each
-# live coset has a full row and has traced every relation at its object
-# to equal ends, and merges keep both facts, so the table is a functor to
-# sets in which 0·u = 0·v whenever u = v.  Hence u ↦ 0·u is a bijection
-# from the arrows out of x onto the live cosets.
-
-
-def hom_tables(objects, ends, relations, cap: int = 20000) -> dict:
-    """Todd–Coxeter enumeration of every Hom(x, −) of a presented category.
-
-    Letter a runs from ``ends[a][0]`` to ``ends[a][1]``, and each relation
-    is a pair of letter words, not both empty, with equal ends (``()`` is
-    an identity).  Cosets are processed in order (HLT): a live coset
-    traces both sides of every relation at its object, defining cosets as
-    needed, merges the two ends, then fills its row.  Coincidences go
-    through :class:`UnionFind`, whose least root keeps the older coset.
-
-    Returns ``{x: act}``, where coset 0 of ``act`` is id_x and
-    ``act[k][a]`` is coset k followed by letter a, for every letter a
-    leaving k's object.  Raises :class:`CapExceeded` with the ``cosets``
-    defined and the ``object`` enumerated once more than ``cap`` cosets
-    are defined over all objects.
-    """
-    at: dict = {x: [] for x in objects}
-    for lhs, rhs in relations:
-        at[ends[(lhs or rhs)[0]][0]].append((lhs, rhs))
-    leaving: dict = {x: [] for x in objects}
-    for a, (src, _) in enumerate(ends):
-        leaving[src].append(a)
-    defined = 0
-    tables = {}
-    for x in objects:
-        rows: list[dict[int, int]] = [{}]
-        obj = [x]
-        classes = UnionFind([0])
-        find = classes.find
-
-        def define(k: int, a: int) -> int:
-            nonlocal defined
-            defined += 1
-            if defined > cap:
-                raise CapExceeded(
-                    "coset enumeration exceeded the cap",
-                    cap=cap,
-                    cosets=defined,
-                    object=x,
-                )
-            rows[k][a] = new = len(rows)
-            rows.append({})
-            obj.append(ends[a][1])
-            classes.add(new)
-            return new
-
-        def trace(k: int, word) -> int:
-            for a in word:
-                d = rows[k].get(a)
-                k = define(k, a) if d is None else find(d)
-            return k
-
-        def coincide(k: int, j: int) -> None:
-            pending = [(k, j)]
-            while pending:
-                k, j = sorted(map(find, pending.pop()))
-                if k != j:
-                    classes.union(k, j)
-                    row = rows[k]
-                    for a, d in rows[j].items():
-                        e = row.setdefault(a, d)
-                        if e != d:
-                            pending.append((d, e))
-
-        defined += 1  # coset 0, id_x
-        k = 0
-        while k < len(rows):
-            if find(k) == k:
-                for lhs, rhs in at[obj[k]]:
-                    coincide(trace(k, lhs), trace(k, rhs))
-                    if find(k) != k:
-                        break
-                else:
-                    for a in leaving[obj[k]]:
-                        if a not in rows[k]:
-                            define(k, a)
-            k += 1
-        live = [k for k in range(len(rows)) if find(k) == k]
-        number = {k: n for n, k in enumerate(live)}
-        tables[x] = [{a: number[find(d)] for a, d in rows[k].items()} for k in live]
-    return tables
-
-
 def localize(marked: MarkedCategory, cap: int = 20000) -> Localization:
     """Adjoin formal inverses for the marked morphisms.
 
@@ -165,9 +74,10 @@ def localize(marked: MarkedCategory, cap: int = 20000) -> Localization:
     C's morphisms ``("m", f)`` and the formal inverses ``("i", w)``, which
     sort first; the relations are (id_y) = (), (f, g) = (g∘f) for every
     composable pair of non-identities, and (w, w⁻¹) = (w⁻¹, w) = () for
-    w in W.  :func:`hom_tables` enumerates each Hom(x, −), and each arrow
-    is named by spelling its least non-empty word in the order (length,
-    formal inverses, letters); the arrows are listed by length, then
+    w in W: present, enumerate, name.  :func:`fincat.hom_tables`
+    enumerates each Hom(x, −), and each arrow is named by spelling its
+    least non-empty word in the order (length, formal inverses, letters)
+    from :func:`fincat.least_words`; the arrows are listed by length, then
     word.  ``cap`` bounds the cosets defined over all objects; the
     enumeration ends exactly when the localization is finite, so an
     infinite one raises :class:`CapExceeded`.
@@ -192,32 +102,10 @@ def localize(marked: MarkedCategory, cap: int = 20000) -> Localization:
         w, inverse = letter["m", name], letter["i", name]
         relations += [((w, inverse), ()), ((inverse, w), ())]
     tables = hom_tables(cat.objects, ends, relations, cap)
-
-    # Name each coset by its least non-empty word in the order (length,
-    # formal inverses, letters).  The order is compatible with right
-    # multiplication, so that word is a letter after the empty word or after
-    # the least word of another coset: a walk one length at a time finds it.
-    word = {}
-    for x, act in tables.items():
-        level = {0: (0, ())}  # coset -> (formal inverses, word)
-        while level:
-            longer: dict[int, tuple] = {}
-            for k, (inverses, w) in level.items():
-                for a, d in act[k].items():
-                    key = (inverses + (a < len(weq)), w + (a,))
-                    if (x, d) not in word and (d not in longer or key < longer[d]):
-                        longer[d] = key
-            word.update(((x, d), w) for d, (_, w) in longer.items())
-            level = longer
+    word = {(x, k): w for x, act in tables.items()
+            for k, w in least_words(act, range(len(weq))).items()}
     reps = sorted(word, key=lambda r: (len(word[r]), word[r]))
     end = {r: ends[word[r][-1]][1] for r in reps}
-
-    def then(r: tuple, w: tuple) -> tuple:
-        x, k = r
-        for a in w:
-            k = tables[x][k][a]
-        return x, k
-
     # a letter is named (name,) or (name, "-1") on '^', a word on '*'
     keys = [(n,) if k == "m" else (n, "-1") for k, n in pairs]
     label = join_names(keys, "^")
@@ -231,7 +119,7 @@ def localize(marked: MarkedCategory, cap: int = 20000) -> Localization:
     for r in reps:
         out_of[r[0]].append(r)
     compose_table = {
-        (names[v], names[u]): names[then(u, word[v])]
+        (names[v], names[u]): names[u[0], follow(tables[u[0]], u[1], word[v])]
         for u in reps
         for v in out_of[end[u]]
     }
@@ -242,7 +130,7 @@ def localize(marked: MarkedCategory, cap: int = 20000) -> Localization:
         cat,
         localized,
         {x: x for x in cat.objects},
-        {m.name: names[then((m.src, 0), (letter["m", m.name],))] for m in cat.morphisms},
+        {m.name: names[m.src, tables[m.src][0][letter["m", m.name]]] for m in cat.morphisms},
     )
     projection.validate()
     for name in weq:
@@ -298,8 +186,6 @@ class ModelData:
 
 
 def model_from_json(raw: dict) -> ModelData:
-    from .fincat import validate_category
-
     if not isinstance(raw, dict):
         raise SchemaError("model payload must be an object")
     for key in raw:

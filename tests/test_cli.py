@@ -652,6 +652,26 @@ def test_svk_rejects_a_malformed_leg(tmp_path, capsys, label):
         assert "'zzz'" in report["message"]
 
 
+def test_svk_rejects_a_leg_that_is_no_homomorphism(tmp_path, capsys):
+    # ⟨c | c²⟩ → S₃ with c ↦ b: b² is not 1 in S₃, though it is in S₃'s
+    # abelianization
+    s3 = {"v": 1, "gens": ["a", "b"], "rels": [["a", "a"], ["b", "b", "b"], ["a", "b", "a", "b"]]}
+
+    def leg(image):
+        return write(tmp_path, f"{image}.json", {
+            "v": 1, "source": {"v": 1, "gens": ["c"], "rels": [["c", "c"]]},
+            "target": s3, "images": {"c": [image]},
+        })
+
+    code, out = run(capsys, "svk", leg("b"), leg("a"))
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"] == "SchemaError"
+    assert report["relator"] == ["c", "c"]
+    code, out = run(capsys, "svk", leg("a"), leg("a"))
+    assert code == 0
+
+
 def test_svk_reads_inverse_tokens(tmp_path, capsys):
     leg = svk_leg_with(
         target=free_target([[{"inv": "a"}, "b"]]), images={"c": [{"inv": "b"}]}

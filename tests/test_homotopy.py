@@ -629,6 +629,51 @@ def test_homspec_validation_rejects_bad_images():
     GroupHomSpec(p0, target, {"c": ()}).validate()
 
 
+S3 = {"v": 1, "gens": ["a", "b"], "rels": [["a", "a"], ["b", "b", "b"], ["a", "b", "a", "b"]]}
+ORDER_TWO = {"v": 1, "gens": ["c"], "rels": [["c", "c"]]}
+
+
+def order_two_leg(target: dict, image: list) -> dict:
+    """⟨c | c²⟩ → target, c going to ``image``."""
+    return {"v": 1, "source": ORDER_TWO, "target": target, "images": {"c": image}}
+
+
+def test_homspec_rejects_a_relator_image_that_is_not_the_identity():
+    # in S₃ = ⟨a, b | a², b³, abab⟩ the image b² of c² is not 1, though it
+    # dies in the abelianization Z/2 (where b is 0)
+    with pytest.raises(SchemaError) as caught:
+        homspec_from_json(order_two_leg(S3, ["b"]))
+    assert caught.value.payload == {"relator": ["c", "c"]}
+    assert "not the identity" in str(caught.value)
+    homspec_from_json(order_two_leg(S3, ["a"]))
+    homspec_from_json(order_two_leg(S3, ["b", "a", "B"]))  # a conjugate of a
+    # an empty relator is dropped before the table is enumerated
+    with_empty = {**S3, "rels": [[], *S3["rels"]]}
+    with pytest.raises(SchemaError, match="not the identity"):
+        homspec_from_json(order_two_leg(with_empty, ["b"]))
+    homspec_from_json(order_two_leg(with_empty, ["a"]))
+    is_identity = homotopy._identity_test(presentation_from_json(with_empty))
+    assert is_identity((1, 2, 1, 2)) and is_identity((-2, -2, -2))
+    assert not is_identity((2, 2)) and not is_identity((1, 2))
+
+
+def test_homspec_into_a_target_with_no_generators():
+    trivial = {"v": 1, "gens": [], "rels": [[]]}
+    homspec_from_json(order_two_leg(trivial, []))
+    assert homotopy._identity_test(presentation_from_json(trivial))(())
+
+
+def test_homspec_falls_back_to_the_abelianization_on_an_infinite_target():
+    # π₁ of the torus is Z², whose table never finishes: the relator check
+    # falls back to the abelianization, where c ↦ a survives
+    torus = {"v": 1, "gens": ["a", "b"], "rels": [["a", "b", "A", "B"]]}
+    assert homotopy._identity_test(presentation_from_json(torus)) is None
+    with pytest.raises(SchemaError, match="nontrivial in the target abelianization") as caught:
+        homspec_from_json(order_two_leg(torus, ["a"]))
+    assert caught.value.payload == {"relator": ["c", "c"]}
+    homspec_from_json(order_two_leg(torus, ["a", "b", "A", "B"]))
+
+
 def test_homspec_json():
     spec = homspec_from_json(
         {

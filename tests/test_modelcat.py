@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from homcat import modelcat
+from homcat import fincat
 from homcat.errors import CapExceeded, SchemaError
 from homcat.fincat import (
     FinCategory,
@@ -29,9 +29,12 @@ from homcat.modelcat import (
     trivial_model,
 )
 
-from homcat.simplicial import nerve, nerve_names
+from homcat.homotopy import pi1
+from homcat.simplicial import boundary, nerve, nerve_names
+from homcat.subdivision import sd
 
 import corpus
+from test_homotopy import rp2_triangulation
 
 
 def walking_weak_equivalence() -> MarkedCategory:
@@ -533,10 +536,42 @@ def test_hom_tables_enumerates_von_dyck_groups():
         perms = [a, b, a, tuple(sorted(range(5), key=b.__getitem__))]  # a, b, a⁻¹, b⁻¹
         relations = [((0, 0), ()), ((1, 1, 1), ()), ((0, 1) * m, ())]
         relations += [((0, 2), ()), ((2, 0), ()), ((1, 3), ()), ((3, 1), ())]
-        (act,) = modelcat.hom_tables(["*"], [("*", "*")] * 4, relations).values()
+        (act,) = fincat.hom_tables(["*"], [("*", "*")] * 4, relations).values()
         image = reach(act, tuple(range(5)), lambda p, letter: then(p, perms[letter]))
         assert len(set(image)) == len(image) == order
         assert all(len(row) == 4 for row in act)
+
+
+def group_category(pres) -> tuple[list, list]:
+    """The ends and relations of a group presentation as a one-object
+    category: letter 2i is generator i + 1 and letter 2i + 1 its inverse,
+    with g·g⁻¹ = g⁻¹·g = () and relator = ()."""
+    def letter(signed: int) -> int:
+        return 2 * abs(signed) - 2 + (signed < 0)
+
+    letters = 2 * len(pres.generators)
+    relations = [((a, a ^ 1), ()) for a in range(letters)]
+    relations += [(tuple(map(letter, w)), ()) for w in pres.relators]
+    return [(0, 0)] * letters, relations
+
+
+def test_hom_tables_deduces_inverse_entries():
+    # π₁ of sd² ∂Δ³ is trivial on 216 generators, and π₁ of sd² RP² has
+    # order 2 on 540.  Defining k·g = j also sets j·g⁻¹ = k, which closes
+    # the first table under 2,000 cosets and the second under 20,000;
+    # without the deduction they trip those caps, the second even 200,000
+    for x, generators, order, cap in [
+        (sd(sd(boundary(3)).complex).complex, 216, 1, 2000),
+        (sd(sd(rp2_triangulation()).complex).complex, 540, 2, 20000),
+    ]:
+        pres = pi1(x, x.cells[0][0])
+        assert len(pres.generators) == generators
+        (act,) = fincat.hom_tables([0], *group_category(pres), cap).values()
+        assert len(act) == order
+        assert all(len(row) == 2 * generators for row in act)
+        # a letter followed by its inverse is the identity, at every coset
+        assert all(fincat.follow(act, k, (a, a ^ 1)) == k
+                   for k in range(order) for a in range(2 * generators))
 
 
 # -- the fundamental category of a nerve, by the same enumeration --------------
@@ -578,7 +613,7 @@ def fundamental_category_tables(x) -> tuple[list[str], dict]:
     for sigma in x.cells[2]:
         d0, d1, d2 = x.faces[(2, sigma)]
         relations.append((word(d2) + word(d0), word(d1)))
-    return edges, modelcat.hom_tables(x.cells[0], ends, relations)
+    return edges, fincat.hom_tables(x.cells[0], ends, relations)
 
 
 def test_fundamental_category_of_a_nerve_is_the_category():
